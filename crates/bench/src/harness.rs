@@ -9,13 +9,13 @@ use automc_compress::{
 use automc_core::journal;
 use automc_core::{
     evolution_search_journaled, progressive_search_journaled, random_search_journaled,
-    rl_search_journaled, AutoMcConfig, EvolutionConfig, JournalOptions, RlConfig, SearchBudget,
-    SearchContext, SearchHistory,
+    rl_search_journaled, AutoMcConfig, EvolutionConfig, JournalOptions, RlConfig, RoundControl,
+    RoundEvent, RoundHook, RoundObserver, SearchBudget, SearchContext, SearchHistory,
 };
 use automc_data::ImageSet;
 use automc_knowledge::{
     generate_experience, learn_embeddings, EmbeddingConfig, ExperienceCorpus, ExperienceRecord,
-    MicroTask,
+    MicroTask, CORPUS_VERSION,
 };
 use automc_json::{field, obj, FromJson, ToJson, Value};
 use automc_models::surgery::Criterion;
@@ -25,6 +25,7 @@ use automc_tensor::fault::{self, FaultKind};
 use automc_tensor::{par, rng_for_task, rng_from_seed, Rng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Whether interrupted searches and method-grid runs may resume from
 /// their journals (default) or must restart from scratch (`--no-resume`).
@@ -47,14 +48,27 @@ pub fn resume_enabled() -> bool {
 
 /// The cache fingerprint of a prepared-task run: every cached artifact
 /// derived from a `PreparedTask` records this and is a miss under any
-/// other seed, scale configuration, or kernel numerics version (cached
-/// rows are float results of the tensor kernels).
+/// other seed, scale configuration, kernel numerics version (cached rows
+/// are float results of the tensor kernels), or corpus version (AutoMC
+/// searches with embeddings learned from the experience corpus).
 pub fn run_fingerprint(scale: &ExperimentScale, seed: u64) -> String {
     format!(
-        "k{}|s{seed}|{}",
+        "k{}|c{CORPUS_VERSION}|s{seed}|{}",
         automc_tensor::KERNEL_NUMERICS_VERSION,
         scale.fingerprint()
     )
+}
+
+/// The cache fingerprint of the experience corpus: its micro-tasks are
+/// hard-coded, so the seed and the corpus version pin it.
+pub fn corpus_fingerprint(seed: u64) -> String {
+    format!("c{CORPUS_VERSION}|s{seed}|corpus")
+}
+
+/// The cache fingerprint of the Algorithm 1 embeddings learned from the
+/// corpus of the same seed.
+pub fn embedding_fingerprint(seed: u64) -> String {
+    format!("c{CORPUS_VERSION}|s{seed}|emb")
 }
 
 /// One row of Table 2 / Table 3.
@@ -569,35 +583,27 @@ pub fn experience_corpus(
     fresh: bool,
 ) -> ExperienceCorpus {
     let key = format!("corpus_{space_tag}_s{seed}");
-    // The corpus micro-tasks are hard-coded, so the seed alone pins them.
-    let fp = format!("s{seed}|corpus");
-    let dto = load_or_shared(&key, &fp, fresh, || {
+    let dto = load_or_shared(&key, &corpus_fingerprint(seed), fresh, || {
         eprintln!("[harness] generating experience corpus ({space_tag})…");
-        let mut rng = rng_from_seed(seed ^ 0xE0);
-        let mut tasks = vec![
+        // Each micro-task pre-trains from its own stream under `seed ^ 0xE0`
+        // and the records draw theirs under `seed ^ 0xE2` (the embeddings
+        // use `seed ^ 0xE1`), so both phases run as independent pool tasks.
+        let micro = [(ModelKind::ResNet(20), 4, 901), (ModelKind::Vgg(13), 8, 902)];
+        let tasks = par::par_map(micro.len(), |t| {
+            let (model, width, data_seed) = micro[t];
             MicroTask::new(
                 automc_data::SyntheticKind::Cifar10Like,
-                ModelKind::ResNet(20),
-                4,
+                model,
+                width,
                 240,
                 120,
                 4.0,
-                901,
-                &mut rng,
-            ),
-            MicroTask::new(
-                automc_data::SyntheticKind::Cifar10Like,
-                ModelKind::Vgg(13),
-                8,
-                240,
-                120,
-                4.0,
-                902,
-                &mut rng,
-            ),
-        ];
+                data_seed,
+                &mut rng_for_task(seed ^ 0xE0, t as u64),
+            )
+        });
         let exec = automc_compress::ExecConfig { pretrain_epochs: 4.0, ..Default::default() };
-        let corpus = generate_experience(space, &mut tasks, 36, &exec, &mut rng);
+        let corpus = generate_experience(space, &tasks, 36, &exec, seed ^ 0xE2);
         CorpusDto {
             records: corpus
                 .records
@@ -626,8 +632,7 @@ pub fn automc_embeddings(
         "emb_{space_tag}_s{seed}_kg{}_exp{}",
         use_kg as u8, use_experience as u8
     );
-    let fp = format!("s{seed}|emb");
-    load_or_shared(&key, &fp, fresh, || {
+    load_or_shared(&key, &embedding_fingerprint(seed), fresh, || {
         let corpus = experience_corpus(space, space_tag, seed, fresh);
         eprintln!("[harness] learning embeddings ({key})…");
         let mut rng = rng_from_seed(seed ^ 0xE1);
@@ -681,12 +686,47 @@ impl Algo {
 pub struct RunOpts {
     /// Round observer: streamed progress plus cooperative cancellation at
     /// round boundaries (see `automc_core::progress`).
-    pub hook: automc_core::RoundHook,
+    pub hook: RoundHook,
     /// Directory for the search journals; defaults to the result cache
     /// dir. The serve daemon points this at a job-keyed directory
     /// (`journal::job_dir`) so concurrent jobs never share a journal file
     /// while a resubmitted job resumes its own.
     pub journal_dir: Option<std::path::PathBuf>,
+}
+
+/// Records whether a search loop actually stopped on its caller's cancel.
+/// The loops return at the round boundary where the hook answers
+/// `Cancel`; re-reading `hook.cancelled()` after the search returns
+/// cannot tell that apart from a cancel landing after the last round,
+/// when the loop has finished and already discarded its journal.
+struct StopLatch {
+    inner: RoundHook,
+    stopped: AtomicBool,
+}
+
+impl RoundObserver for StopLatch {
+    fn on_round(&self, ev: &RoundEvent) -> RoundControl {
+        let control = self.inner.observe(ev);
+        if control == RoundControl::Cancel {
+            self.stopped.store(true, Ordering::SeqCst);
+        }
+        control
+    }
+
+    fn cancelled(&self) -> bool {
+        self.inner.cancelled()
+    }
+}
+
+/// Run `search` under `hook` and report whether it stopped on a cancel.
+/// An unset hook is passed through unset: nothing can cancel it.
+fn latched<T>(hook: &RoundHook, search: impl FnOnce(RoundHook) -> T) -> (T, bool) {
+    if !hook.is_set() {
+        return (search(RoundHook::default()), false);
+    }
+    let latch = Arc::new(StopLatch { inner: hook.clone(), stopped: AtomicBool::new(false) });
+    let out = search(RoundHook::new(latch.clone()));
+    (out, latch.stopped.load(Ordering::SeqCst))
 }
 
 /// Run one AutoML algorithm on a prepared task (cached).
@@ -706,10 +746,12 @@ pub fn run_search(
 }
 
 /// [`run_search`] with [`RunOpts`]: the hook observes every round and may
-/// cancel. Returns `None` when the run was cancelled — the partial
-/// history is *not* cached (a later run must not mistake it for a
-/// finished search) but the round journal stays on disk, so resubmitting
-/// the same run resumes at the cancelled round.
+/// cancel. Returns `None` when the search stopped at a round boundary on
+/// the hook's cancel — the partial history is *not* cached (a later run
+/// must not mistake it for a finished search) but the round journal stays
+/// on disk, so resubmitting the same run resumes at the cancelled round.
+/// A cancel that lands after the last round leaves a finished search,
+/// which is returned and cached like any other.
 #[allow(clippy::too_many_arguments)]
 pub fn run_search_with(
     algo: Algo,
@@ -729,7 +771,7 @@ pub fn run_search_with(
             return Some(v);
         }
     }
-    let history = {
+    let (history, stopped) = {
         eprintln!("[harness] running {} on {cache_tag}…", algo.name());
         // Per-algorithm RNG stream keyed by the enum discriminant: the old
         // `seed ^ name-length` derivation gave AutoMC and Random (both six
@@ -763,23 +805,26 @@ pub fn run_search_with(
         // restarting.
         let journal_dir =
             run_opts.journal_dir.clone().unwrap_or_else(cache::cache_dir);
-        let opts = JournalOptions {
-            path: Some(journal_dir.join(format!("{key}.journal"))),
-            resume: resume_enabled(),
-            abort_after_rounds: None,
-            hook: run_opts.hook.clone(),
-        };
-        let history = match algo {
-            Algo::AutoMc => {
-                let emb = embeddings.expect("AutoMC needs embeddings").to_vec();
-                progressive_search_journaled(&ctx, emb, &AutoMcConfig::default(), &mut rng, &opts)
+        let (history, stopped) = latched(&run_opts.hook, |hook| {
+            let opts = JournalOptions {
+                path: Some(journal_dir.join(format!("{key}.journal"))),
+                resume: resume_enabled(),
+                abort_after_rounds: None,
+                hook,
+            };
+            match algo {
+                Algo::AutoMc => {
+                    let emb = embeddings.expect("AutoMC needs embeddings").to_vec();
+                    let cfg = AutoMcConfig::default();
+                    progressive_search_journaled(&ctx, emb, &cfg, &mut rng, &opts)
+                }
+                Algo::Evolution => {
+                    evolution_search_journaled(&ctx, &EvolutionConfig::default(), &mut rng, &opts)
+                }
+                Algo::Rl => rl_search_journaled(&ctx, &RlConfig::default(), &mut rng, &opts),
+                Algo::Random => random_search_journaled(&ctx, &mut rng, &opts),
             }
-            Algo::Evolution => {
-                evolution_search_journaled(&ctx, &EvolutionConfig::default(), &mut rng, &opts)
-            }
-            Algo::Rl => rl_search_journaled(&ctx, &RlConfig::default(), &mut rng, &opts),
-            Algo::Random => random_search_journaled(&ctx, &mut rng, &opts),
-        };
+        });
         eprintln!(
             "[harness] {} finished: {} evaluations, {:.1}s",
             algo.name(),
@@ -807,9 +852,9 @@ pub fn run_search_with(
                 memo.healed
             );
         }
-        history
+        (history, stopped)
     };
-    if run_opts.hook.cancelled() {
+    if stopped {
         // Cancelled at a round boundary: the journal stays on disk for a
         // resumed run; the partial history must not enter the cache.
         eprintln!("[harness] {} on {cache_tag} cancelled; journal kept", algo.name());
@@ -941,12 +986,15 @@ pub fn table2_task(
     seed: u64,
     fresh: bool,
 ) -> Vec<(usize, FinalRow)> {
+    // The default hook never cancels, so the task always completes.
     table2_task_with(task, space, embeddings, i, seed, fresh, &RunOpts::default())
+        .unwrap_or_default()
 }
 
 /// [`table2_task`] with [`RunOpts`]: the hook is polled before the task
-/// starts and observes each search round. A cancelled task returns no
-/// rows — the caller must check the hook and discard the partial grid.
+/// starts and observes each search round. Returns `None` when the task
+/// was skipped or its search stopped on a cancel — the caller must
+/// discard the partial grid.
 #[allow(clippy::too_many_arguments)]
 pub fn table2_task_with(
     task: &PreparedTask,
@@ -956,18 +1004,19 @@ pub fn table2_task_with(
     seed: u64,
     fresh: bool,
     run_opts: &RunOpts,
-) -> Vec<(usize, FinalRow)> {
+) -> Option<Vec<(usize, FinalRow)>> {
     if run_opts.hook.cancelled() {
-        return Vec::new();
+        return None;
     }
     let n_method_tasks = MethodId::ALL.len() * 2;
     if i < n_method_tasks {
         let method = MethodId::ALL[i / 2];
         let ratio = if i % 2 == 0 { 0.4 } else { 0.7 };
         eprintln!("[harness] {}: method {} @{ratio}…", task.scale.name, method.name());
-        vec![(i % 2, method_baseline_row(task, method, ratio, seed, fresh))]
+        Some(vec![(i % 2, method_baseline_row(task, method, ratio, seed, fresh))])
     } else {
         let algo = Algo::ALL[i - n_method_tasks];
+        // Cancelled mid-search: the round journal is kept, no rows.
         let history = run_search_with(
             algo,
             task,
@@ -977,12 +1026,8 @@ pub fn table2_task_with(
             fresh,
             task.scale.name,
             run_opts,
-        );
-        match history {
-            Some(history) => algo_band_rows(algo, &history, task, space, seed),
-            // Cancelled mid-search: the round journal is kept, no rows.
-            None => Vec::new(),
-        }
+        )?;
+        Some(algo_band_rows(algo, &history, task, space, seed))
     }
 }
 
@@ -1005,9 +1050,10 @@ pub fn table2_rows(
 
 /// [`table2_rows`] with [`RunOpts`] — the job unit the serve daemon runs.
 /// The hook is polled before each grid task and observes every search
-/// round. Returns `None` when cancelled: the partial grid is *not* cached
-/// (per-task caches and round journals are, so a resubmitted job resumes
-/// past everything already finished).
+/// round. Returns `None` when a task was skipped or a search stopped on a
+/// cancel: the partial grid is *not* cached (per-task caches and round
+/// journals are, so a resubmitted job resumes past everything already
+/// finished).
 pub fn table2_rows_with(
     exp: &ExperimentScale,
     seed: u64,
@@ -1035,13 +1081,15 @@ pub fn table2_rows_with(
     let task_ref = &task;
     let space_ref = &space;
     let emb_ref = &emb;
-    let outs: Vec<Vec<(usize, FinalRow)>> = par::par_map(table2_task_count(), |i| {
+    let outs = par::par_map(table2_task_count(), |i| {
         table2_task_with(task_ref, space_ref, emb_ref, i, seed, fresh, run_opts)
     });
-    if run_opts.hook.cancelled() {
+    // Decided by what the tasks did, not by re-reading the hook: a cancel
+    // that lands after the last task finished leaves a complete grid.
+    let Some(outs) = outs.into_iter().collect::<Option<Vec<_>>>() else {
         eprintln!("[harness] table2 {} cancelled; partial grid discarded", exp.name);
         return None;
-    }
+    };
 
     let mut band40: Vec<FinalRow> = vec![FinalRow::baseline(&task)];
     let mut band70: Vec<FinalRow> = Vec::new();

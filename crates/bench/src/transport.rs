@@ -537,16 +537,33 @@ fn run_task_frame(
                     eprintln!("[worker {wid}] injected hang after unit {unit}");
                     emitter.freeze();
                     // Park until the supervisor's deadline (or shutdown
-                    // kill) reclaims us.
-                    loop {
-                        std::thread::sleep(Duration::from_secs(3600));
+                    // kill) reclaims us. A supervisor that dies first (an
+                    // injected `exit@dist`) never will: end the hang once
+                    // orphaned rather than hold the inherited stderr open
+                    // forever.
+                    let parent = parent_pid();
+                    while parent_pid() == parent {
+                        std::thread::sleep(Duration::from_millis(200));
                     }
+                    eprintln!("[worker {wid}] parent process gone; ending the injected hang");
+                    std::process::exit(3);
                 }
                 _ => {}
             }
         }
     }
     Ok(())
+}
+
+/// This process's parent id, where the platform exposes one.
+#[cfg(unix)]
+fn parent_pid() -> Option<u32> {
+    Some(std::os::unix::process::parent_id())
+}
+
+#[cfg(not(unix))]
+fn parent_pid() -> Option<u32> {
+    None
 }
 
 // ------------------------------------------------------------------------

@@ -127,6 +127,40 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
         "retry journal must be discarded after a successful run"
     );
 
+    // --- A hung worker does not outlive a dead supervisor --------------
+    // The only worker parks after its first unit, and merging that unit
+    // fires the supervisor's injected exit, so no deadline will ever
+    // reclaim the worker: it must end the hang itself once orphaned, or it
+    // holds the stderr it shares with the supervisor open forever. The
+    // stderr goes to a file, so a regression fails here instead of
+    // blocking the test on a pipe that never closes.
+    let d = fresh_dir("orphan");
+    let log = d.join("stderr.log");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table2"));
+    cmd.args(["--smoke", "--workers", "1", "--faults", "hang@worker:1,exit@dist:1"])
+        .envs(KNOBS)
+        .env("AUTOMC_RESULTS_DIR", d.join("results"))
+        .env("AUTOMC_SHARED_RESULTS_DIR", &serial_dir)
+        .env_remove("AUTOMC_FAULTS")
+        .env_remove("AUTOMC_WORKER_FAULT")
+        .env_remove("AUTOMC_HEARTBEAT_FILE")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::fs::File::create(&log).expect("stderr log"));
+    let status = cmd.status().expect("table2 binary must spawn");
+    assert_eq!(status.code(), Some(87), "the supervisor must die at merge 1");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let err = std::fs::read_to_string(&log).unwrap_or_default();
+        if err.contains("ending the injected hang") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the orphaned hung worker must exit on its own:\n{err}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+
     // --- Dynamic queue absorbs a dead sibling ---------------------------
     // Worker 0 exhausts its restart budget immediately, but its queued
     // units simply go to worker 1: the merged table is still complete and
@@ -167,7 +201,7 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
     assert!(err.contains("retry budget (0) exhausted"), "{err}");
     assert!(err.contains("no worker left to run unit"), "{err}");
 
-    for name in ["serial", "kill-w1", "kill-w4", "hang", "absorbed", "exhausted"] {
+    for name in ["serial", "kill-w1", "kill-w4", "hang", "orphan", "absorbed", "exhausted"] {
         let _ = std::fs::remove_dir_all(std::env::temp_dir().join(format!("automc-orch-e2e-{name}")));
     }
 }

@@ -11,7 +11,7 @@ use automc_compress::{apply_strategy, ExecConfig, Metrics, StrategyId, StrategyS
 use automc_data::{DataFeatures, DatasetSpec, ImageSet, SyntheticKind};
 use automc_models::train::{train, Auxiliary};
 use automc_models::{resnet, vgg, ConvNet, ModelFeatures, ModelKind};
-use automc_tensor::Rng;
+use automc_tensor::{par, rng_for_task, Rng};
 use rand::seq::SliceRandom;
 
 /// One experience tuple.
@@ -120,14 +120,38 @@ pub fn task_features(train_set: &ImageSet, base: &Metrics) -> Vec<f32> {
     v
 }
 
+/// Version of the corpus derivation: bumped whenever the records a seed
+/// produces change (v2: one RNG stream per record instead of one stream
+/// threaded through every record in turn). Caches of the corpus and of
+/// everything learned from it key on this.
+pub const CORPUS_VERSION: u64 = 2;
+
+/// Stream slot of a micro-task's stratified picks; records use their
+/// index as the slot, so no record (index < `u32::MAX`) shares it.
+const PICKS_SLOT: u64 = u32::MAX as u64;
+
+/// The RNG stream of `slot` within micro-task `task`.
+fn stream(seed: u64, task: usize, slot: u64) -> Rng {
+    rng_for_task(seed, ((task as u64) << 32) | slot)
+}
+
 /// Generate an experience corpus by executing `per_task` strategies
 /// (stratified across methods) on each micro task.
+///
+/// Every record is a pure function of `(seed, micro-task index, record
+/// index)`: micro-task `t` draws its picks up front from its own stream,
+/// and each record fine-tunes from a stream of its own. All records run
+/// as one [`par::par_map`] and are assembled task-major in index order,
+/// so the corpus is bitwise-identical at any thread count, and a smaller
+/// `per_task` yields a prefix of each task's records. At one thread the
+/// records run inline in index order, so per-thread fault ordinals
+/// (`nan@train:n`) tick exactly as they would in a serial loop.
 pub fn generate_experience(
     space: &StrategySpace,
-    tasks: &mut [MicroTask],
+    tasks: &[MicroTask],
     per_task: usize,
     exec: &ExecConfig,
-    rng: &mut Rng,
+    seed: u64,
 ) -> ExperienceCorpus {
     let mut corpus = ExperienceCorpus::empty(7);
     if tasks.is_empty() || per_task == 0 {
@@ -146,25 +170,33 @@ pub fn generate_experience(
             by_method.push(ids);
         }
     }
-    for task in tasks.iter_mut() {
-        let mut picks: Vec<StrategyId> = Vec::with_capacity(per_task);
-        let mut mi = 0usize;
-        while picks.len() < per_task {
-            let bucket = &by_method[mi % by_method.len()];
-            picks.push(*bucket.choose(rng).expect("non-empty bucket"));
-            mi += 1;
+    let picks: Vec<Vec<StrategyId>> = (0..tasks.len())
+        .map(|t| {
+            let mut rng = stream(seed, t, PICKS_SLOT);
+            (0..per_task)
+                .map(|j| {
+                    let bucket = &by_method[j % by_method.len()];
+                    *bucket.choose(&mut rng).expect("non-empty bucket")
+                })
+                .collect()
+        })
+        .collect();
+    let records = par::par_map(tasks.len() * per_task, |i| {
+        let (t, j) = (i / per_task, i % per_task);
+        let (task, sid) = (&tasks[t], picks[t][j]);
+        let mut model = task.model.clone_net();
+        let mut rng = stream(seed, t, j as u64);
+        apply_strategy(space.spec(sid), &mut model, &task.train_set, exec, &mut rng);
+        let m = Metrics::measure(&mut model, &task.eval_set);
+        ExperienceRecord {
+            strategy: sid,
+            task: task.features.clone(),
+            ar: m.ar(&task.base),
+            pr: m.pr(&task.base),
         }
-        for sid in picks {
-            let mut model = task.model.clone_net();
-            apply_strategy(space.spec(sid), &mut model, &task.train_set, exec, rng);
-            let m = Metrics::measure(&mut model, &task.eval_set);
-            corpus.push(ExperienceRecord {
-                strategy: sid,
-                task: task.features.clone(),
-                ar: m.ar(&task.base),
-                pr: m.pr(&task.base),
-            });
-        }
+    });
+    for rec in records {
+        corpus.push(rec);
     }
     corpus
 }
@@ -210,7 +242,7 @@ mod tests {
     fn generated_experience_reflects_real_reductions() {
         let mut rng = rng_from_seed(221);
         let space = StrategySpace::for_methods(&[MethodId::Ns, MethodId::Sfp]);
-        let mut tasks = vec![MicroTask::new(
+        let tasks = vec![MicroTask::new(
             SyntheticKind::Cifar10Like,
             ModelKind::ResNet(20),
             4,
@@ -221,7 +253,7 @@ mod tests {
             &mut rng,
         )];
         let exec = ExecConfig { pretrain_epochs: 2.0, ..Default::default() };
-        let corpus = generate_experience(&space, &mut tasks, 4, &exec, &mut rng);
+        let corpus = generate_experience(&space, &tasks, 4, &exec, 222);
         assert_eq!(corpus.records.len(), 4);
         for rec in &corpus.records {
             assert!(rec.pr > 0.0, "strategies remove parameters: {rec:?}");

@@ -27,7 +27,9 @@ mod kg;
 mod nn_exp;
 mod transr;
 
-pub use experience::{generate_experience, ExperienceCorpus, ExperienceRecord, MicroTask};
+pub use experience::{
+    generate_experience, ExperienceCorpus, ExperienceRecord, MicroTask, CORPUS_VERSION,
+};
 pub use kg::{KnowledgeGraph, Relation};
 pub use nn_exp::NnExp;
 pub use transr::{TransR, TransRConfig};

@@ -38,6 +38,18 @@ const KNOBS_SLOW: [(&str, &str); 4] = [
     ("AUTOMC_SMOKE_BUDGET", "8000"),
 ];
 
+/// The drain test's Random search at seed 17: the slow knobs with a
+/// budget of several rounds. Its rounds end at about 8 000, 13 700,
+/// 22 400 and 31 900 units, so a cancel ordered on the first round frame
+/// has three later round boundaries to land on. At 8 000 units the first
+/// evaluation (8 020 units) would end the search before any drain.
+const KNOBS_DRAIN: [(&str, &str); 4] = [
+    ("AUTOMC_SMOKE_TRAIN", "1024"),
+    ("AUTOMC_SMOKE_TEST", "64"),
+    ("AUTOMC_SMOKE_EPOCHS", "8"),
+    ("AUTOMC_SMOKE_BUDGET", "24000"),
+];
+
 struct Server {
     child: Child,
     addr: String,
@@ -235,7 +247,7 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
     let algo = JobKind::Search(automc_bench::harness::Algo::Random);
     let job_spec = spec(algo, 17, true, "");
 
-    let mut server = start_server(&dir, "one", &KNOBS_SLOW, &[], None, None);
+    let mut server = start_server(&dir, "one", &KNOBS_DRAIN, &[], None, None);
     let mut client = Client::connect(&server.addr).expect("connect");
     let (job, _) = client.submit(&job_spec).expect("submit");
     // Order the shutdown as soon as the first round frame proves the job
@@ -251,6 +263,13 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
         })
         .expect("watch to terminal frame");
     assert!(shutdown_sent, "job must have streamed at least one round");
+    assert_ne!(
+        state_of(&terminal),
+        "done",
+        "the job finished before the drain reached a later round boundary, so \
+         this test proved nothing: give KNOBS_DRAIN a budget with more rounds \
+         after the first: {terminal:?}"
+    );
     assert_eq!(
         state_of(&terminal),
         "cancelled",
@@ -282,7 +301,7 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
     );
 
     // …so a restarted daemon resumes it and matches an uninterrupted run.
-    let server2 = start_server(&dir, "two", &KNOBS_SLOW, &[], None, None);
+    let server2 = start_server(&dir, "two", &KNOBS_DRAIN, &[], None, None);
     let resumed = run_to_done(&server2.addr, &job_spec);
     assert_eq!(state_of(&resumed), "done", "terminal: {resumed:?}");
     let log2 = server2.log_text();

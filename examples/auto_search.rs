@@ -44,7 +44,7 @@ fn main() {
     let space = StrategySpace::full();
     println!("strategy space: {} strategies", space.len());
     println!("generating experience corpus (executes strategies on micro tasks)…");
-    let mut micro = vec![MicroTask::new(
+    let micro = vec![MicroTask::new(
         SyntheticKind::Cifar10Like,
         ModelKind::ResNet(20),
         4,
@@ -55,7 +55,7 @@ fn main() {
         &mut rng,
     )];
     let exec = ExecConfig { pretrain_epochs: 3.0, ..Default::default() };
-    let corpus = generate_experience(&space, &mut micro, 18, &exec, &mut rng);
+    let corpus = generate_experience(&space, &micro, 18, &exec, 12);
     println!("corpus: {} experience tuples", corpus.records.len());
     println!("learning strategy embeddings (TransR + NN_exp)…");
     let embeddings = learn_embeddings(

@@ -159,6 +159,13 @@ AUTOMC_THREADS=4 AUTOMC_RESULTS_DIR="$mon_dir" \
 diff /tmp/automc-memo-off.out /tmp/automc-memo-cold.out
 diff /tmp/automc-memo-off.out /tmp/automc-memo-warm.out
 diff /tmp/automc-memo-off.out /tmp/automc-memo-t4.out
+# Every run above passed --fresh, so each rebuilt the experience corpus
+# and its embeddings; the tables alone can come out identical under a
+# different corpus, so compare the artifacts of the 1- and 4-thread runs.
+for artifact in corpus_full_s9.json emb_full_s9_kg1_exp1.json; do
+    cmp "$moff_dir/$artifact" "$mon_dir/$artifact" || {
+        echo "memo smoke: $artifact differs between 1 and 4 threads"; exit 1; }
+done
 grep '\[memo\] Evolution:' /tmp/automc-memo-warm.err
 awk -F'[(%]' '/\[memo\] Evolution:/ { if ($2 + 0 < 30) exit 1 }' \
     /tmp/automc-memo-warm.err || {

@@ -68,7 +68,7 @@ fn knowledge_pipeline_feeds_progressive_search() {
     let (model, base, train_set, test_set) = prepared_task();
     let mut rng = rng_from_seed(4003);
     let space = StrategySpace::for_methods(&[MethodId::Ns, MethodId::Sfp, MethodId::Lma]);
-    let mut micro = vec![MicroTask::new(
+    let micro = vec![MicroTask::new(
         SyntheticKind::Cifar10Like,
         ModelKind::ResNet(20),
         4,
@@ -79,7 +79,7 @@ fn knowledge_pipeline_feeds_progressive_search() {
         &mut rng,
     )];
     let exec = ExecConfig { pretrain_epochs: 2.0, ..Default::default() };
-    let corpus = generate_experience(&space, &mut micro, 9, &exec, &mut rng);
+    let corpus = generate_experience(&space, &micro, 9, &exec, 4006);
     assert_eq!(corpus.records.len(), 9);
     let embeddings = learn_embeddings(
         &space,
