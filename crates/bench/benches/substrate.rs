@@ -3,10 +3,12 @@
 //!
 //! The `parallel_kernels` group additionally times the kernels at
 //! 1 thread vs. `auto` across several sizes (plus the pre-blocked `ikj`
-//! reference kernel, for machine-speed normalisation) and writes
-//! best-of-N timings to `BENCH_kernels.json` at the repo root for the
-//! `kernel_gate` bin (check.sh's kernels stage) to compare against the
-//! committed `BENCH_baseline.json`.
+//! reference kernel, for machine-speed normalisation), and the two model
+//! passes the reproduction runs most — a smoke-model training step and a
+//! batch-64 eval forward, where per-call overhead is not diluted by big
+//! shapes — and writes best-of-N timings to `BENCH_kernels.json` at the
+//! repo root for the `kernel_gate` bin (check.sh's kernels stage) to
+//! compare against the committed `BENCH_baseline.json`.
 //!
 //! Modes:
 //! * default — full run: criterion display benches + 31-round timings.
@@ -15,10 +17,11 @@
 //! * `--test` (cargo test) — every closure runs once as a smoke test.
 
 use automc_json::{obj, ToJson};
-use automc_models::resnet;
+use automc_models::{resnet, ConvNet};
 use automc_tensor::nn::{Conv2d, Layer};
+use automc_tensor::optim::{Optimizer, Sgd, SgdConfig};
 use automc_tensor::par::{current_threads, with_threads};
-use automc_tensor::{matmul, rng_from_seed, Tensor};
+use automc_tensor::{loss, matmul, rng_from_seed, Tensor};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -122,6 +125,15 @@ fn reference_ikj(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
+/// One smoke-scale training step, as `train::train` runs it: train-mode
+/// forward, cross-entropy, backward, SGD update.
+fn train_step(net: &mut ConvNet, opt: &mut Sgd, x: &Tensor, labels: &[usize]) {
+    let logits = net.forward(x, true);
+    let (_, grad) = loss::softmax_cross_entropy(&logits, labels);
+    net.backward(&grad);
+    opt.step(&mut net.params_mut());
+}
+
 fn bench_parallel_kernels(c: &mut Criterion) {
     let mut rng = rng_from_seed(5);
     let mats: Vec<(usize, Tensor, Tensor)> = MATMUL_SIZES
@@ -138,6 +150,13 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     let x = Tensor::randn(&[8, 8, 12, 12], 1.0, &mut rng);
     let y = conv.forward(&x, true);
     let g = Tensor::ones(y.dims());
+    // The smoke model (ResNet-20, width 4, 8×8 inputs) at the training
+    // batch (32) and at `train::evaluate`'s eval chunk (64).
+    let mut net = resnet(20, 4, 10, (3, 8, 8), &mut rng);
+    let mut opt = Sgd::new(SgdConfig::default());
+    let x_train = Tensor::randn(&[32, 3, 8, 8], 1.0, &mut rng);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    let x_eval = Tensor::randn(&[64, 3, 8, 8], 1.0, &mut rng);
 
     if !quick_mode() {
         for (tag, threads) in [("t1", 1), ("auto", 0)] {
@@ -158,6 +177,12 @@ fn bench_parallel_kernels(c: &mut Criterion) {
             });
             c.bench_function(format!("par_conv3x3_b8_bwd_{tag}"), |bch| {
                 bch.iter(|| run(&mut || drop(black_box(conv.backward(black_box(&g))))))
+            });
+            c.bench_function(format!("resnet20_w4_b32_train_step_{tag}"), |bch| {
+                bch.iter(|| run(&mut || train_step(&mut net, &mut opt, &x_train, &labels)))
+            });
+            c.bench_function(format!("resnet20_w4_b64_eval_fwd_{tag}"), |bch| {
+                bch.iter(|| run(&mut || drop(black_box(net.forward(black_box(&x_eval), false)))))
             });
         }
     }
@@ -180,7 +205,8 @@ fn bench_parallel_kernels(c: &mut Criterion) {
         31
     };
     let mut samples: Vec<(String, &'static str, usize, Vec<u64>)> = Vec::new();
-    // Fixed row order: ref, then per mode: matmuls + conv fwd/bwd.
+    // Fixed row order: ref, then per mode: matmuls, conv fwd/bwd, model
+    // train step and eval forward.
     samples.push(("ref_ikj_192".to_string(), "ref", 1, Vec::new()));
     for (tag, threads) in [("t1", 1usize), ("auto", 0)] {
         let eff = if threads == 1 { 1 } else { current_threads() };
@@ -189,6 +215,8 @@ fn bench_parallel_kernels(c: &mut Criterion) {
         }
         samples.push(("conv3x3_b8_fwd".to_string(), tag, eff, Vec::new()));
         samples.push(("conv3x3_b8_bwd".to_string(), tag, eff, Vec::new()));
+        samples.push(("resnet20_w4_b32_train_step".to_string(), tag, eff, Vec::new()));
+        samples.push(("resnet20_w4_b64_eval_fwd".to_string(), tag, eff, Vec::new()));
     }
     for _ in 0..iters {
         let mut round: Vec<u64> = Vec::with_capacity(samples.len());
@@ -211,6 +239,10 @@ fn bench_parallel_kernels(c: &mut Criterion) {
             }
             round.push(run(&mut || time_ns(|| drop(black_box(conv.forward(black_box(&x), true))))));
             round.push(run(&mut || time_ns(|| drop(black_box(conv.backward(black_box(&g)))))));
+            round.push(run(&mut || time_ns(|| train_step(&mut net, &mut opt, &x_train, &labels))));
+            round.push(run(&mut || {
+                time_ns(|| drop(black_box(net.forward(black_box(&x_eval), false))))
+            }));
         }
         for (slot, ns) in samples.iter_mut().zip(&round) {
             slot.3.push(*ns);

@@ -49,7 +49,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Base of the exponential restart/reconnect backoff (doubles per retry).
@@ -343,6 +343,7 @@ enum ConnEnd {
 /// safe); completed units are cached in this process's own store, so a
 /// re-delivered unit is a cache hit, not a recompute.
 pub fn run_worker_connect(args: &BenchArgs, addr: &str) -> i32 {
+    STARTED_BY.get_or_init(parent_pid);
     let directive = std::env::var("AUTOMC_WORKER_FAULT").unwrap_or_default();
     let mut ctx = harness::UnitCtx::new();
     let mut units_done = 0u64;
@@ -519,41 +520,42 @@ fn run_task_frame(
         }
     };
     let completed = outcome.is_ok();
+    if completed && *units_done == 0 && directive == "hang" {
+        // Hang holding the first unit's result: the supervisor can only
+        // recover that unit through its heartbeat deadline, so the hang is
+        // always detected, however fast the rest of the run finishes.
+        eprintln!("[worker {wid}] injected hang after unit {unit}");
+        emitter.freeze();
+        // Park until the supervisor's deadline (or shutdown kill) reclaims
+        // us. A supervisor that dies first never will: end the hang once
+        // orphaned (possibly before the hang began) rather than hold the
+        // inherited stderr open forever.
+        let parent = *STARTED_BY.get_or_init(parent_pid);
+        while parent_pid() == parent {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        eprintln!("[worker {wid}] parent process gone; ending the injected hang");
+        std::process::exit(3);
+    }
     send(writer, &f_result(&experiment, &scale_name, unit, &outcome))
         .map_err(|e| format!("result: {e}"))?;
     if completed {
         emitter.bump_tasks();
         *units_done += 1;
-        if *units_done == 1 {
-            match directive {
-                "kill" => {
-                    eprintln!(
-                        "[worker {wid}] injected kill after unit {unit} \
-                         (exit {WORKER_KILL_EXIT})"
-                    );
-                    std::process::exit(WORKER_KILL_EXIT);
-                }
-                "hang" => {
-                    eprintln!("[worker {wid}] injected hang after unit {unit}");
-                    emitter.freeze();
-                    // Park until the supervisor's deadline (or shutdown
-                    // kill) reclaims us. A supervisor that dies first (an
-                    // injected `exit@dist`) never will: end the hang once
-                    // orphaned rather than hold the inherited stderr open
-                    // forever.
-                    let parent = parent_pid();
-                    while parent_pid() == parent {
-                        std::thread::sleep(Duration::from_millis(200));
-                    }
-                    eprintln!("[worker {wid}] parent process gone; ending the injected hang");
-                    std::process::exit(3);
-                }
-                _ => {}
-            }
+        if *units_done == 1 && directive == "kill" {
+            eprintln!(
+                "[worker {wid}] injected kill after unit {unit} \
+                 (exit {WORKER_KILL_EXIT})"
+            );
+            std::process::exit(WORKER_KILL_EXIT);
         }
     }
     Ok(())
 }
+
+/// The parent id this worker process started under, recorded first thing
+/// so an injected hang can tell it was orphaned even before it began.
+static STARTED_BY: OnceLock<Option<u32>> = OnceLock::new();
 
 /// This process's parent id, where the platform exposes one.
 #[cfg(unix)]

@@ -97,10 +97,11 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
     assert!(err.contains("injected kill"), "fault must have fired:\n{err}");
 
     // --- Hung worker: detected by heartbeat, killed, restarted ----------
-    // The fault freezes the worker's heartbeat thread and parks it; only
-    // the supervisor's staleness deadline can reclaim it. The retry must
-    // be counted (and journaled) exactly once, and the retry journal must
-    // be discarded once the run completes.
+    // The fault freezes the worker's heartbeat thread and parks it holding
+    // its first unit; only the supervisor's staleness deadline can reclaim
+    // it, so the run cannot finish without detecting the hang. The retry
+    // must be counted (and journaled) exactly once, and the retry journal
+    // must be discarded once the run completes.
     let d = fresh_dir("hang");
     let run = table2(
         &d,
@@ -128,16 +129,17 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
     );
 
     // --- A hung worker does not outlive a dead supervisor --------------
-    // The only worker parks after its first unit, and merging that unit
-    // fires the supervisor's injected exit, so no deadline will ever
-    // reclaim the worker: it must end the hang itself once orphaned, or it
-    // holds the stderr it shares with the supervisor open forever. The
-    // stderr goes to a file, so a regression fails here instead of
-    // blocking the test on a pipe that never closes.
+    // The only worker parks holding its first unit, and the supervisor is
+    // killed while the (deliberately long) hang deadline is still far off,
+    // so no deadline will ever reclaim the worker: it must end the hang
+    // itself once orphaned, or it holds the stderr it shares with the
+    // supervisor open forever. The stderr goes to a file, so a regression
+    // fails here instead of blocking the test on a pipe that never closes.
     let d = fresh_dir("orphan");
     let log = d.join("stderr.log");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table2"));
-    cmd.args(["--smoke", "--workers", "1", "--faults", "hang@worker:1,exit@dist:1"])
+    cmd.args(["--smoke", "--workers", "1", "--heartbeat-ms", "10000"])
+        .args(["--faults", "hang@worker:1"])
         .envs(KNOBS)
         .env("AUTOMC_RESULTS_DIR", d.join("results"))
         .env("AUTOMC_SHARED_RESULTS_DIR", &serial_dir)
@@ -146,20 +148,22 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
         .env_remove("AUTOMC_HEARTBEAT_FILE")
         .stdout(std::process::Stdio::null())
         .stderr(std::fs::File::create(&log).expect("stderr log"));
-    let status = cmd.status().expect("table2 binary must spawn");
-    assert_eq!(status.code(), Some(87), "the supervisor must die at merge 1");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let err = std::fs::read_to_string(&log).unwrap_or_default();
-        if err.contains("ending the injected hang") {
-            break;
+    let mut supervisor = cmd.spawn().expect("table2 binary must spawn");
+    let wait_for = |needle: &str, secs: u64, what: &str| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+        loop {
+            let err = std::fs::read_to_string(&log).unwrap_or_default();
+            if err.contains(needle) {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "{what}:\n{err}");
+            std::thread::sleep(std::time::Duration::from_millis(50));
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the orphaned hung worker must exit on its own:\n{err}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    };
+    wait_for("injected hang", 60, "the worker must hang after its first unit");
+    supervisor.kill().expect("kill the supervisor");
+    supervisor.wait().expect("reap the supervisor");
+    wait_for("ending the injected hang", 10, "the orphaned hung worker must exit on its own");
 
     // --- Dynamic queue absorbs a dead sibling ---------------------------
     // Worker 0 exhausts its restart budget immediately, but its queued

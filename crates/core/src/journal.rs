@@ -61,24 +61,49 @@ pub fn fingerprint(tag: &str, words: &[u64], rng_state: [u64; 4]) -> u64 {
     fnv1a64(&buf)
 }
 
-/// Lowercase hex encoding of a byte string.
+/// Lowercase hex digits, indexed by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Nibble value of every byte that is a hex digit (either case); `0xff`
+/// marks the rest.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Lowercase hex encoding of a byte string. Table-driven: the RL
+/// controller's checkpoint state is megabytes, encoded every round.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(HEX_DIGITS[usize::from(b & 0x0f)]));
     }
     s
 }
 
-/// Decode [`to_hex`] output; `None` on odd length or non-hex characters.
+/// Decode [`to_hex`] output (either case); `None` on odd length or any
+/// character that is not a hex digit.
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 || !s.is_ascii() {
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
+    let mut out = Vec::with_capacity(digits.len() / 2);
+    for pair in digits.chunks_exact(2) {
+        let (hi, lo) = (HEX_VALUES[usize::from(pair[0])], HEX_VALUES[usize::from(pair[1])]);
+        if (hi | lo) > 0x0f {
+            return None;
+        }
+        out.push(hi << 4 | lo);
+    }
+    Some(out)
 }
 
 // ------------------------------------------------------------------------
@@ -701,6 +726,48 @@ mod tests {
                 model: vec![9, 8, 7],
             }],
             fault_counters: vec![("eval".into(), 5), ("train".into(), 17)],
+        }
+    }
+
+    /// The `format!`-per-byte encoder and `from_str_radix` decoder this
+    /// module shipped before the table-driven codec, kept verbatim as the
+    /// byte-identity oracle.
+    fn to_hex_reference(bytes: &[u8]) -> String {
+        let mut s = String::with_capacity(bytes.len() * 2);
+        for b in bytes {
+            s.push_str(&format!("{b:02x}"));
+        }
+        s
+    }
+
+    fn from_hex_reference(s: &str) -> Option<Vec<u8>> {
+        if s.len() % 2 != 0 || !s.is_ascii() {
+            return None;
+        }
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+            .collect()
+    }
+
+    #[test]
+    fn hex_codec_is_byte_identical_to_format_oracle() {
+        let every_byte: Vec<u8> = (0..=255).collect();
+        let mut rng = automc_tensor::rng_from_seed(31);
+        let random: Vec<u8> = (0..1 << 20).map(|_| rand::Rng::gen::<u32>(&mut rng) as u8).collect();
+        for bytes in [&every_byte[..], &random[..], &[]] {
+            let hex = to_hex(bytes);
+            assert_eq!(hex, to_hex_reference(bytes));
+            assert_eq!(from_hex(&hex), from_hex_reference(&hex));
+            assert_eq!(from_hex(&hex).as_deref(), Some(bytes));
+            let upper = hex.to_ascii_uppercase();
+            assert_eq!(from_hex(&upper), from_hex_reference(&upper));
+        }
+        // Rejections agree too (`from_str_radix` alone would also take a
+        // `+` sign inside a pair, which no encoder ever writes).
+        for bad in ["abc", "zz", "0g", "é0", "a\u{0}", "0 ", " 0"] {
+            assert_eq!(from_hex(bad), None, "{bad:?}");
+            assert_eq!(from_hex_reference(bad), None, "{bad:?}");
         }
     }
 

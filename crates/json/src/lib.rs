@@ -236,21 +236,33 @@ pub fn strict_parse() -> bool {
     STRICT_PARSE.with(|s| s.get())
 }
 
+/// Write `s` as a JSON string literal. Copies each run of characters that
+/// need no escape in one go: journal payloads are megabytes and are
+/// escaped again when wrapped in their checksummed envelope.
 fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, so both slice ends are char boundaries.
+        out.push_str(&s[run_start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -773,6 +785,47 @@ mod tests {
         // Mode is restored after the closure.
         let after: f64 = FromJson::from_json(&Value::Null).unwrap();
         assert!(after.is_nan());
+    }
+
+    /// The char-at-a-time escape this crate shipped before run copying,
+    /// kept verbatim as the byte-identity oracle.
+    fn write_escaped_reference(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn run_copying_escape_is_byte_identical_to_char_oracle() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            String::new(),
+            controls.clone(),
+            format!("{controls}\"\\ plain é ✓ \u{1F600}\u{7f}"),
+            "\"quoted\" \\back\\slash\\".to_string(),
+            "ünïcödé run, then \n, then more ✓✓✓".to_string(),
+            "\u{1}\u{1f}\u{20}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}".to_string(),
+            Value::Str(format!("{{\"k\": \"{controls}\"}}\n")).to_string_pretty(),
+        ];
+        for s in &cases {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_escaped(&mut got, s);
+            write_escaped_reference(&mut want, s);
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(parse(&got).unwrap(), Value::Str(s.clone()));
+        }
     }
 
     #[test]

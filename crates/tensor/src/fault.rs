@@ -56,9 +56,10 @@ pub enum FaultKind {
     /// and the supervisor translates it into a directive for the child,
     /// which aborts after its first completed shard task.
     Kill,
-    /// Hang a *worker process*: the child stops emitting heartbeats and
-    /// parks forever, so only the supervisor's heartbeat deadline can
-    /// reclaim it. Ticked at the `worker` site like [`FaultKind::Kill`].
+    /// Hang a *worker process*: after running its first task the child
+    /// stops emitting heartbeats and parks forever without reporting the
+    /// result, so only the supervisor's heartbeat deadline can reclaim it
+    /// (and the task). Ticked at the `worker` site like [`FaultKind::Kill`].
     Hang,
     /// Tear a blob-store publish: a truncated envelope lands on the final
     /// path, as if a pre-protocol writer crashed mid-write (exercises the

@@ -3,8 +3,22 @@
 //! Convolution forward becomes one matmul per batch item:
 //! `out[oc, oh*ow] = W[oc, ic*kh*kw] · cols[ic*kh*kw, oh*ow]`,
 //! and the backward pass reuses the same buffers via [`col2im`].
+//!
+//! Both directions pad the image once into a thread-local scratch plane
+//! instead of bounds-testing every element: each output row of a column
+//! then reads (or, for col2im, accumulates into) one unbroken run of the
+//! padded plane. A 1×1 / stride-1 / pad-0 convolution skips lowering
+//! altogether — its column matrix *is* the image.
 
 use crate::Tensor;
+use std::cell::Cell;
+
+thread_local! {
+    /// Reusable zero-padded image plane for one lowering call. Taken (not
+    /// borrowed) for the duration of the call, like the GEMM pack buffers,
+    /// so steady-state training does not allocate per call.
+    static PADDED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
 
 /// Spatial geometry of a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,38 +42,124 @@ impl ConvGeom {
     pub fn out_w(&self) -> usize {
         (self.in_w + 2 * self.pad - self.kw) / self.stride + 1
     }
+
+    /// 1×1, stride 1, no padding: the column matrix equals the image.
+    #[inline]
+    pub fn is_pointwise(&self) -> bool {
+        self.kh == 1 && self.kw == 1 && self.stride == 1 && self.pad == 0
+    }
+}
+
+/// Run `f(planes, ph, pw)` over `in_c` zero planes of `ph×pw` in the
+/// thread-local scratch, with `img` (if given) copied into their interior.
+fn with_padded<R>(
+    img: Option<&[f32]>,
+    g: ConvGeom,
+    f: impl FnOnce(&mut [f32], usize, usize) -> R,
+) -> R {
+    let (ph, pw) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
+    let mut buf = PADDED.with(Cell::take);
+    buf.clear();
+    buf.resize(g.in_c * ph * pw, 0.0);
+    if let Some(img) = img {
+        for c in 0..g.in_c {
+            for y in 0..g.in_h {
+                let at = (c * ph + y + g.pad) * pw + g.pad;
+                copy_run(&mut buf[at..at + g.in_w], &img[(c * g.in_h + y) * g.in_w..]);
+            }
+        }
+    }
+    let out = f(&mut buf, ph, pw);
+    PADDED.with(|c| c.set(buf));
+    out
+}
+
+/// Copy a run of `dst.len()` floats from the front of `src`. Output rows
+/// are mostly 1–8 floats wide, where a `memcpy` call costs more than the
+/// copy, so those widths get fixed-size copies the compiler inlines.
+#[inline(always)]
+fn copy_run(dst: &mut [f32], src: &[f32]) {
+    match dst.len() {
+        1 => dst[0] = src[0],
+        2 => dst.copy_from_slice(&src[..2]),
+        4 => dst.copy_from_slice(&src[..4]),
+        8 => dst.copy_from_slice(&src[..8]),
+        n => dst.copy_from_slice(&src[..n]),
+    }
+}
+
+/// Lower `in_c` planes of `ph×pw` that already carry the padding: column
+/// row `(c, ky, kx)`, output row `oy` reads one run of plane `c` starting
+/// at `(oy·stride + ky, kx)`, contiguous at stride 1.
+fn lower_rows(planes: &[f32], g: ConvGeom, ph: usize, pw: usize, cols: &mut [f32]) {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    // Nested loops with a running row index: no division per row, which
+    // would cost more than copying a 2×2 output row.
+    let mut row = 0usize;
+    for c in 0..g.in_c {
+        let plane = &planes[c * ph * pw..(c + 1) * ph * pw];
+        for ky in 0..g.kh {
+            for kx in 0..g.kw {
+                let dst = &mut cols[row * oh * ow..(row + 1) * oh * ow];
+                for oy in 0..oh {
+                    let d = &mut dst[oy * ow..(oy + 1) * ow];
+                    let run = &plane[(oy * g.stride + ky) * pw + kx..];
+                    if g.stride == 1 {
+                        copy_run(d, run);
+                    } else {
+                        for (v, &x) in d.iter_mut().zip(run.iter().step_by(g.stride)) {
+                            *v = x;
+                        }
+                    }
+                }
+                row += 1;
+            }
+        }
+    }
 }
 
 /// Lower one image `[C, H, W]` into a `[C*kh*kw, oh*ow]` column matrix.
 ///
 /// `img` must have length `C*H*W`; `cols` is overwritten.
 pub(crate) fn im2col_into(img: &[f32], g: ConvGeom, cols: &mut [f32]) {
+    debug_assert_eq!(cols.len(), g.in_c * g.kh * g.kw * g.out_h() * g.out_w());
+    debug_assert_eq!(img.len(), g.in_c * g.in_h * g.in_w);
+    if g.is_pointwise() {
+        cols.copy_from_slice(img);
+    } else if cols.is_empty() || img.is_empty() {
+        cols.fill(0.0);
+    } else if g.pad == 0 {
+        lower_rows(img, g, g.in_h, g.in_w, cols);
+    } else {
+        with_padded(Some(img), g, |planes, ph, pw| {
+            lower_rows(planes, g, ph, pw, cols)
+        });
+    }
+}
+
+/// Accumulate columns into `in_c` padded planes of `ph×pw` (the adjoint of
+/// [`lower_rows`]). Rows run in ascending `(c, ky, kx)` order and one row
+/// touches each pixel at most once, so every pixel sums its contributions
+/// in the same order as a per-element scatter.
+fn scatter_rows(cols: &[f32], g: ConvGeom, ph: usize, pw: usize, planes: &mut [f32]) {
     let (oh, ow) = (g.out_h(), g.out_w());
-    let cols_w = oh * ow;
-    debug_assert_eq!(cols.len(), g.in_c * g.kh * g.kw * cols_w);
     let mut row = 0usize;
     for c in 0..g.in_c {
-        let plane = &img[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
+        let plane = &mut planes[c * ph * pw..(c + 1) * ph * pw];
         for ky in 0..g.kh {
             for kx in 0..g.kw {
-                let dst = &mut cols[row * cols_w..(row + 1) * cols_w];
-                let mut idx = 0usize;
+                let src = &cols[row * oh * ow..(row + 1) * oh * ow];
                 for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= g.in_h as isize {
-                        dst[idx..idx + ow].fill(0.0);
-                        idx += ow;
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        dst[idx] = if ix < 0 || ix >= g.in_w as isize {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
-                        idx += 1;
+                    let s = &src[oy * ow..(oy + 1) * ow];
+                    let run = &mut plane[(oy * g.stride + ky) * pw + kx..];
+                    if g.stride == 1 {
+                        for (p, &v) in run[..ow].iter_mut().zip(s) {
+                            *p += v;
+                        }
+                    } else {
+                        for (p, &v) in run.iter_mut().step_by(g.stride).zip(s) {
+                            *p += v;
+                        }
                     }
                 }
                 row += 1;
@@ -71,38 +171,33 @@ pub(crate) fn im2col_into(img: &[f32], g: ConvGeom, cols: &mut [f32]) {
 /// Scatter-add a `[C*kh*kw, oh*ow]` column-gradient matrix back into an
 /// image gradient `[C, H, W]` (the adjoint of [`im2col_into`]).
 pub(crate) fn col2im_into(cols: &[f32], g: ConvGeom, img: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols_w = oh * ow;
-    debug_assert_eq!(cols.len(), g.in_c * g.kh * g.kw * cols_w);
+    debug_assert_eq!(cols.len(), g.in_c * g.kh * g.kw * g.out_h() * g.out_w());
     debug_assert_eq!(img.len(), g.in_c * g.in_h * g.in_w);
+    if g.is_pointwise() {
+        // `0.0 + v`, not a copy: accumulating onto zeros maps -0.0 to +0.0.
+        for (d, &v) in img.iter_mut().zip(cols) {
+            *d = 0.0 + v;
+        }
+        return;
+    }
     img.fill(0.0);
-    let mut row = 0usize;
-    for c in 0..g.in_c {
-        let plane = &mut img[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-        for ky in 0..g.kh {
-            for kx in 0..g.kw {
-                let src = &cols[row * cols_w..(row + 1) * cols_w];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= g.in_h as isize {
-                        idx += ow;
-                        continue;
-                    }
-                    let dst_row =
-                        &mut plane[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix >= 0 && ix < g.in_w as isize {
-                            dst_row[ix as usize] += src[idx];
-                        }
-                        idx += 1;
-                    }
-                }
-                row += 1;
+    if cols.is_empty() || img.is_empty() {
+        return;
+    }
+    if g.pad == 0 {
+        scatter_rows(cols, g, g.in_h, g.in_w, img);
+        return;
+    }
+    with_padded(None, g, |planes, ph, pw| {
+        scatter_rows(cols, g, ph, pw, planes);
+        for c in 0..g.in_c {
+            for y in 0..g.in_h {
+                let at = (c * ph + y + g.pad) * pw + g.pad;
+                let row = (c * g.in_h + y) * g.in_w;
+                copy_run(&mut img[row..row + g.in_w], &planes[at..]);
             }
         }
-    }
+    });
 }
 
 /// Public convenience: lower a single `[C, H, W]` tensor to columns.
@@ -284,6 +379,139 @@ mod tests {
                 assert_eq!(counts.data()[(in_h / 2) * in_w + in_w / 2], (k * k) as f32);
             }
         }
+    }
+
+    /// The per-element lowering this module shipped before run lowering,
+    /// kept verbatim as the bit-identity oracle.
+    fn im2col_into_reference(img: &[f32], g: ConvGeom, cols: &mut [f32]) {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let cols_w = oh * ow;
+        let mut row = 0usize;
+        for c in 0..g.in_c {
+            let plane = &img[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
+            for ky in 0..g.kh {
+                for kx in 0..g.kw {
+                    let dst = &mut cols[row * cols_w..(row + 1) * cols_w];
+                    let mut idx = 0usize;
+                    for oy in 0..oh {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        if iy < 0 || iy >= g.in_h as isize {
+                            dst[idx..idx + ow].fill(0.0);
+                            idx += ow;
+                            continue;
+                        }
+                        let src_row = &plane[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
+                        for ox in 0..ow {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            dst[idx] = if ix < 0 || ix >= g.in_w as isize {
+                                0.0
+                            } else {
+                                src_row[ix as usize]
+                            };
+                            idx += 1;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+
+    /// The per-element scatter this module shipped before run lowering,
+    /// kept verbatim as the bit-identity oracle.
+    fn col2im_into_reference(cols: &[f32], g: ConvGeom, img: &mut [f32]) {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let cols_w = oh * ow;
+        img.fill(0.0);
+        let mut row = 0usize;
+        for c in 0..g.in_c {
+            let plane = &mut img[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
+            for ky in 0..g.kh {
+                for kx in 0..g.kw {
+                    let src = &cols[row * cols_w..(row + 1) * cols_w];
+                    let mut idx = 0usize;
+                    for oy in 0..oh {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        if iy < 0 || iy >= g.in_h as isize {
+                            idx += ow;
+                            continue;
+                        }
+                        let dst_row = &mut plane[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
+                        for ox in 0..ow {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if ix >= 0 && ix < g.in_w as isize {
+                                dst_row[ix as usize] += src[idx];
+                            }
+                            idx += 1;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+
+    /// Random values with signed zeros mixed in, so `to_bits` equality
+    /// also checks that -0.0 is copied or absorbed exactly as before.
+    fn awkward_values(len: usize, rng: &mut crate::Rng) -> Vec<f32> {
+        let mut v = Tensor::randn(&[len], 1.0, rng).data().to_vec();
+        for (i, x) in v.iter_mut().enumerate() {
+            match i % 7 {
+                2 => *x = -0.0,
+                5 => *x = 0.0,
+                _ => {}
+            }
+        }
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run lowering and its adjoint are bit-identical to the per-element
+    /// oracles on every kernel 1/3/5 × stride 1/2 × pad 0/1/2 geometry
+    /// over 1×1 … 9×9 inputs (inputs narrower than the kernel included,
+    /// as long as the padded input still fits one window).
+    #[test]
+    fn run_lowering_is_bit_identical_to_per_element_oracle() {
+        let mut rng = rng_from_seed(23);
+        let mut cases = 0;
+        for k in [1usize, 3, 5] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1, 2] {
+                    for in_h in 1..=9usize {
+                        for in_w in 1..=9usize {
+                            if in_h + 2 * pad < k || in_w + 2 * pad < k {
+                                continue;
+                            }
+                            let g = ConvGeom {
+                                in_c: 2,
+                                in_h,
+                                in_w,
+                                kh: k,
+                                kw: k,
+                                stride,
+                                pad,
+                            };
+                            let img = awkward_values(2 * in_h * in_w, &mut rng);
+                            let cols_len = 2 * k * k * g.out_h() * g.out_w();
+                            let (mut want, mut got) = (vec![1.0; cols_len], vec![2.0; cols_len]);
+                            im2col_into_reference(&img, g, &mut want);
+                            im2col_into(&img, g, &mut got);
+                            assert_eq!(bits(&got), bits(&want), "im2col {g:?}");
+                            let cols = awkward_values(cols_len, &mut rng);
+                            let (mut want, mut got) = (vec![1.0; img.len()], vec![2.0; img.len()]);
+                            col2im_into_reference(&cols, g, &mut want);
+                            col2im_into(&cols, g, &mut got);
+                            assert_eq!(bits(&got), bits(&want), "col2im {g:?}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 1000, "only {cases} geometries checked");
     }
 
     #[test]

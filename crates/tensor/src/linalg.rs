@@ -15,17 +15,21 @@ use crate::Tensor;
 pub fn jacobi_eigh(sym: &Tensor, max_sweeps: usize) -> (Vec<f32>, Tensor) {
     let n = sym.dims()[0];
     debug_assert_eq!(sym.dims(), &[n, n], "jacobi_eigh requires square input");
-    let mut a = sym.clone();
-    let mut v = Tensor::zeros(&[n, n]);
+    // Row-major `n×n` buffers indexed `[row * n + col]`. Every rotation
+    // reads and writes elements in the order of the element-wise
+    // formulation (the row pass reads what the column pass just wrote),
+    // so results are bit-identical to it.
+    let mut a = sym.data().to_vec();
+    let mut v = vec![0.0f32; n * n];
     for i in 0..n {
-        *v.at_mut(&[i, i]) = 1.0;
+        v[i * n + i] = 1.0;
     }
     for _ in 0..max_sweeps {
         // Off-diagonal Frobenius norm — convergence criterion.
         let mut off = 0.0f32;
         for i in 0..n {
-            for j in (i + 1)..n {
-                off += a.at(&[i, j]) * a.at(&[i, j]);
+            for &x in &a[i * n + i + 1..(i + 1) * n] {
+                off += x * x;
             }
         }
         if off.sqrt() < 1e-7 {
@@ -33,51 +37,51 @@ pub fn jacobi_eigh(sym: &Tensor, max_sweeps: usize) -> (Vec<f32>, Tensor) {
         }
         for p in 0..n {
             for q in (p + 1)..n {
-                let apq = a.at(&[p, q]);
+                let apq = a[p * n + q];
                 if apq.abs() < 1e-12 {
                     continue;
                 }
-                let app = a.at(&[p, p]);
-                let aqq = a.at(&[q, q]);
+                let app = a[p * n + p];
+                let aqq = a[q * n + q];
                 let theta = 0.5 * (aqq - app) / apq;
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
-                // Rotate rows/cols p and q of `a`.
-                for k in 0..n {
-                    let akp = a.at(&[k, p]);
-                    let akq = a.at(&[k, q]);
-                    *a.at_mut(&[k, p]) = c * akp - s * akq;
-                    *a.at_mut(&[k, q]) = s * akp + c * akq;
+                // Rotate columns p and q of `a`, then rows p and q, then
+                // accumulate the rotation into the eigenvector columns.
+                rotate_columns(&mut a, n, p, q, c, s);
+                let (head, tail) = a.split_at_mut(q * n);
+                for (x, y) in head[p * n..(p + 1) * n].iter_mut().zip(&mut tail[..n]) {
+                    let (apk, aqk) = (*x, *y);
+                    *x = c * apk - s * aqk;
+                    *y = s * apk + c * aqk;
                 }
-                for k in 0..n {
-                    let apk = a.at(&[p, k]);
-                    let aqk = a.at(&[q, k]);
-                    *a.at_mut(&[p, k]) = c * apk - s * aqk;
-                    *a.at_mut(&[q, k]) = s * apk + c * aqk;
-                }
-                // Accumulate rotation into eigenvector matrix.
-                for k in 0..n {
-                    let vkp = v.at(&[k, p]);
-                    let vkq = v.at(&[k, q]);
-                    *v.at_mut(&[k, p]) = c * vkp - s * vkq;
-                    *v.at_mut(&[k, q]) = s * vkp + c * vkq;
-                }
+                rotate_columns(&mut v, n, p, q, c, s);
             }
         }
     }
     // Sort by eigenvalue descending.
     let mut order: Vec<usize> = (0..n).collect();
-    let eigvals: Vec<f32> = (0..n).map(|i| a.at(&[i, i])).collect();
+    let eigvals: Vec<f32> = (0..n).map(|i| a[i * n + i]).collect();
     order.sort_by(|&i, &j| eigvals[j].total_cmp(&eigvals[i]));
     let sorted_vals: Vec<f32> = order.iter().map(|&i| eigvals[i]).collect();
     let mut sorted_vecs = Tensor::zeros(&[n, n]);
-    for (new_col, &old_col) in order.iter().enumerate() {
-        for row in 0..n {
-            *sorted_vecs.at_mut(&[row, new_col]) = v.at(&[row, old_col]);
+    for (dst, src) in sorted_vecs.data_mut().chunks_exact_mut(n).zip(v.chunks_exact(n)) {
+        for (d, &old_col) in dst.iter_mut().zip(&order) {
+            *d = src[old_col];
         }
     }
     (sorted_vals, sorted_vecs)
+}
+
+/// Apply the Jacobi rotation `(c, s)` to columns `p` and `q` of the
+/// row-major `n×n` matrix `m`, row by row.
+fn rotate_columns(m: &mut [f32], n: usize, p: usize, q: usize, c: f32, s: f32) {
+    for row in m.chunks_exact_mut(n) {
+        let (mkp, mkq) = (row[p], row[q]);
+        row[p] = c * mkp - s * mkq;
+        row[q] = s * mkp + c * mkq;
+    }
 }
 
 /// Truncated singular value decomposition.
@@ -171,6 +175,97 @@ pub fn relative_error(a: &Tensor, b: &Tensor) -> f32 {
 mod tests {
     use super::*;
     use crate::{matmul, rng_from_seed};
+
+    /// The `Tensor::at` formulation this module shipped before raw-slice
+    /// indexing, kept verbatim as the bit-identity oracle.
+    fn jacobi_eigh_reference(sym: &Tensor, max_sweeps: usize) -> (Vec<f32>, Tensor) {
+        let n = sym.dims()[0];
+        let mut a = sym.clone();
+        let mut v = Tensor::zeros(&[n, n]);
+        for i in 0..n {
+            *v.at_mut(&[i, i]) = 1.0;
+        }
+        for _ in 0..max_sweeps {
+            let mut off = 0.0f32;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    off += a.at(&[i, j]) * a.at(&[i, j]);
+                }
+            }
+            if off.sqrt() < 1e-7 {
+                break;
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = a.at(&[p, q]);
+                    if apq.abs() < 1e-12 {
+                        continue;
+                    }
+                    let app = a.at(&[p, p]);
+                    let aqq = a.at(&[q, q]);
+                    let theta = 0.5 * (aqq - app) / apq;
+                    let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                    let c = 1.0 / (t * t + 1.0).sqrt();
+                    let s = t * c;
+                    for k in 0..n {
+                        let akp = a.at(&[k, p]);
+                        let akq = a.at(&[k, q]);
+                        *a.at_mut(&[k, p]) = c * akp - s * akq;
+                        *a.at_mut(&[k, q]) = s * akp + c * akq;
+                    }
+                    for k in 0..n {
+                        let apk = a.at(&[p, k]);
+                        let aqk = a.at(&[q, k]);
+                        *a.at_mut(&[p, k]) = c * apk - s * aqk;
+                        *a.at_mut(&[q, k]) = s * apk + c * aqk;
+                    }
+                    for k in 0..n {
+                        let vkp = v.at(&[k, p]);
+                        let vkq = v.at(&[k, q]);
+                        *v.at_mut(&[k, p]) = c * vkp - s * vkq;
+                        *v.at_mut(&[k, q]) = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        let eigvals: Vec<f32> = (0..n).map(|i| a.at(&[i, i])).collect();
+        order.sort_by(|&i, &j| eigvals[j].total_cmp(&eigvals[i]));
+        let sorted_vals: Vec<f32> = order.iter().map(|&i| eigvals[i]).collect();
+        let mut sorted_vecs = Tensor::zeros(&[n, n]);
+        for (new_col, &old_col) in order.iter().enumerate() {
+            for row in 0..n {
+                *sorted_vecs.at_mut(&[row, new_col]) = v.at(&[row, old_col]);
+            }
+        }
+        (sorted_vals, sorted_vecs)
+    }
+
+    /// Raw-slice Jacobi is bit-identical to the `Tensor::at` oracle on
+    /// random symmetric (Gram and plain) and already-diagonal matrices,
+    /// including a sweep budget that stops before convergence.
+    #[test]
+    fn eigh_is_bit_identical_to_indexed_oracle() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = rng_from_seed(17);
+        for n in [1usize, 2, 7, 32, 97] {
+            let x = Tensor::randn(&[n, n], 1.0, &mut rng);
+            let plain = x.add(&x.transpose2()).scale(0.5);
+            let gram = crate::matmul_at_b(&x, &x);
+            let mut diag = Tensor::zeros(&[n, n]);
+            for i in 0..n {
+                *diag.at_mut(&[i, i]) = (i as f32 * 0.37).sin();
+            }
+            for (what, sym) in [("plain", &plain), ("gram", &gram), ("diagonal", &diag)] {
+                for sweeps in [2, 30] {
+                    let (vals, vecs) = jacobi_eigh(sym, sweeps);
+                    let (want_vals, want_vecs) = jacobi_eigh_reference(sym, sweeps);
+                    assert_eq!(bits(&vals), bits(&want_vals), "{what} n={n} values");
+                    assert_eq!(bits(vecs.data()), bits(want_vecs.data()), "{what} n={n} vectors");
+                }
+            }
+        }
+    }
 
     #[test]
     fn eigh_recovers_diagonal() {

@@ -192,8 +192,15 @@ fn pack_b_panels(bd: &[f32], k: usize, n: usize, out: &mut Vec<f32>) {
         let j0 = panel * NR;
         let w = NR.min(n - j0);
         let dst = &mut out[panel * k * NR..(panel + 1) * k * NR];
-        for p in 0..k {
-            dst[p * NR..p * NR + w].copy_from_slice(&bd[p * n + j0..p * n + j0 + w]);
+        for (p, lanes) in dst.chunks_exact_mut(NR).enumerate() {
+            let src = &bd[p * n + j0..p * n + j0 + w];
+            // A full panel row has a constant width the compiler copies
+            // inline; only the ragged last panel pays a `memcpy` call.
+            if w == NR {
+                lanes.copy_from_slice(&src[..NR]);
+            } else {
+                lanes[..w].copy_from_slice(src);
+            }
         }
     }
 }
@@ -218,10 +225,14 @@ fn pack_a_tile(ad: &[f32], k: usize, row0: usize, h: usize, out: &mut Vec<f32>) 
 fn pack_at_tile(ad: &[f32], k: usize, m: usize, row0: usize, h: usize, out: &mut Vec<f32>) {
     out.clear();
     out.resize(m * MR, 0.0);
-    for i in 0..m {
+    for (i, lanes) in out.chunks_exact_mut(MR).enumerate() {
         let src = &ad[i * k + row0..i * k + row0 + h];
-        let dst = &mut out[i * MR..i * MR + h];
-        dst.copy_from_slice(src);
+        // Constant width for full tiles, so the copy is inlined.
+        if h == MR {
+            lanes.copy_from_slice(&src[..MR]);
+        } else {
+            lanes[..h].copy_from_slice(src);
+        }
     }
 }
 
@@ -248,10 +259,44 @@ fn microkernel(ap: &[f32], bp: &[f32], k: usize, acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Compute rows `first_row..first_row+rows` of a packed contraction into
-/// `out` (a block of whole `n`-wide rows). `kc` is the contraction
-/// length; `pack_tile` packs the A tile for absolute rows. Shared by the
-/// `A·B` and `Aᵀ·B` drivers — only the A packing differs.
+/// Pack every MR-row tile of an `m`-row left operand back to back, tile
+/// `t` at `[t·kc·MR, (t+1)·kc·MR)`, with `pack_tile` (the same per-tile
+/// packer the on-demand path uses, so the layout is identical). Lets a
+/// conv weight be packed once per layer call instead of once per batch
+/// item.
+fn pack_all_tiles(m: usize, kc: usize, pack_tile: &dyn Fn(usize, usize, &mut Vec<f32>)) -> Vec<f32> {
+    let mut all = Vec::with_capacity(m.div_ceil(MR) * kc * MR);
+    let mut tile = Vec::new();
+    for row0 in (0..m).step_by(MR) {
+        pack_tile(row0, MR.min(m - row0), &mut tile);
+        all.extend_from_slice(&tile);
+    }
+    all
+}
+
+/// [`pack_all_tiles`] for the `A·B` left operand `A[m,k]`.
+pub(crate) fn pack_a_tiles(ad: &[f32], m: usize, k: usize) -> Vec<f32> {
+    pack_all_tiles(m, k, &|row0, h, buf| pack_a_tile(ad, k, row0, h, buf))
+}
+
+/// [`pack_all_tiles`] for the `Aᵀ·B` left operand, `A` stored `[m,k]`.
+pub(crate) fn pack_at_tiles(ad: &[f32], m: usize, k: usize) -> Vec<f32> {
+    pack_all_tiles(k, m, &|row0, h, buf| pack_at_tile(ad, k, m, row0, h, buf))
+}
+
+/// Where [`gemm_packed_rows`] gets each MR-row tile of its left operand.
+#[derive(Clone, Copy)]
+enum ATiles<'a> {
+    /// Pack the tile for (absolute first row, height) on demand.
+    Pack(&'a dyn Fn(usize, usize, &mut Vec<f32>)),
+    /// Every tile packed up front by [`pack_all_tiles`].
+    Packed(&'a [f32]),
+}
+
+/// Compute rows `first_row..first_row+rows` (`first_row` MR-aligned) of a
+/// packed contraction into `out` (a block of whole `n`-wide rows). `kc` is
+/// the contraction length. Shared by the `A·B` and `Aᵀ·B` drivers — only
+/// the A packing differs.
 fn gemm_packed_rows(
     bpack: &[f32],
     kc: usize,
@@ -259,7 +304,7 @@ fn gemm_packed_rows(
     out: &mut [f32],
     first_row: usize,
     epi: Epilogue<'_>,
-    pack_tile: &dyn Fn(usize, usize, &mut Vec<f32>),
+    a_tiles: ATiles<'_>,
 ) {
     if n == 0 {
         return;
@@ -270,12 +315,21 @@ fn gemm_packed_rows(
     let mut r0 = 0usize;
     while r0 < rows {
         let h = MR.min(rows - r0);
-        pack_tile(first_row + r0, h, &mut apack);
+        let tile: &[f32] = match a_tiles {
+            ATiles::Pack(pack_tile) => {
+                pack_tile(first_row + r0, h, &mut apack);
+                &apack
+            }
+            ATiles::Packed(all) => {
+                let t = (first_row + r0) / MR;
+                &all[t * kc * MR..(t + 1) * kc * MR]
+            }
+        };
         for panel in 0..panels {
             let j0 = panel * NR;
             let w = NR.min(n - j0);
             let mut acc = [[0.0f32; NR]; MR];
-            microkernel(&apack, &bpack[panel * kc * NR..(panel + 1) * kc * NR], kc, &mut acc);
+            microkernel(tile, &bpack[panel * kc * NR..(panel + 1) * kc * NR], kc, &mut acc);
             for r in 0..h {
                 let row = r0 + r;
                 epi.write(first_row + row, &acc[r][..w], &mut out[row * n + j0..row * n + j0 + w]);
@@ -317,9 +371,12 @@ fn matmul_rows_naive(
 
 /// Slice-level `C[m,n] = A[m,k]·B[k,n]` with a fused write epilogue,
 /// always on the calling thread. The building block `Conv2d` uses inside
-/// its batch-parallel items.
+/// its batch-parallel items; `a_tiles` is `A` already packed by
+/// [`pack_a_tiles`] (`None` packs it here).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_slices(
     ad: &[f32],
+    a_tiles: Option<&[f32]>,
     bd: &[f32],
     out: &mut [f32],
     m: usize,
@@ -337,9 +394,9 @@ pub(crate) fn gemm_slices(
     }
     let mut bpack = take_pack_b();
     pack_b_panels(bd, k, n, &mut bpack);
-    gemm_packed_rows(&bpack, k, n, out, 0, epi, &|row0, h, buf| {
-        pack_a_tile(ad, k, row0, h, buf);
-    });
+    let pack = |row0, h, buf: &mut Vec<f32>| pack_a_tile(ad, k, row0, h, buf);
+    let tiles = a_tiles.map_or(ATiles::Pack(&pack), ATiles::Packed);
+    gemm_packed_rows(&bpack, k, n, out, 0, epi, tiles);
     put_pack_b(bpack);
 }
 
@@ -356,7 +413,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let flops = 2 * m * ka * n;
     let tasks = row_tasks(m, MR, flops, TASK_FLOPS_AB, par::current_threads());
     if tasks <= 1 {
-        gemm_slices(ad, bd, c.data_mut(), m, ka, n, Epilogue::Store);
+        gemm_slices(ad, None, bd, c.data_mut(), m, ka, n, Epilogue::Store);
         return c;
     }
     // Pack B once on the calling thread; every row-block task reads the
@@ -367,10 +424,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let tiles = m.div_ceil(MR);
     let chunk_rows = tiles.div_ceil(tasks) * MR;
     let bref = &bpack;
+    let pack = |row0, h, buf: &mut Vec<f32>| pack_a_tile(ad, ka, row0, h, buf);
     par::par_chunks_mut(c.data_mut(), chunk_rows * n, |ci, chunk| {
-        gemm_packed_rows(bref, ka, n, chunk, ci * chunk_rows, Epilogue::Store, &|row0, h, buf| {
-            pack_a_tile(ad, ka, row0, h, buf);
-        });
+        gemm_packed_rows(bref, ka, n, chunk, ci * chunk_rows, Epilogue::Store, ATiles::Pack(&pack));
     });
     put_pack_b(bpack);
     c
@@ -406,9 +462,12 @@ fn at_b_rows_naive(
     }
 }
 
-/// Slice-level `C[k,n] = Aᵀ[k,m]·B[m,n]` (A stored `[m,k]`), serial.
+/// Slice-level `C[k,n] = Aᵀ[k,m]·B[m,n]` (A stored `[m,k]`), serial;
+/// `a_tiles` is `Aᵀ` already packed by [`pack_at_tiles`] (`None` packs it
+/// here).
 pub(crate) fn gemm_at_b_slices(
     ad: &[f32],
+    a_tiles: Option<&[f32]>,
     bd: &[f32],
     out: &mut [f32],
     m: usize,
@@ -425,9 +484,9 @@ pub(crate) fn gemm_at_b_slices(
     }
     let mut bpack = take_pack_b();
     pack_b_panels(bd, m, n, &mut bpack);
-    gemm_packed_rows(&bpack, m, n, out, 0, Epilogue::Store, &|row0, h, buf| {
-        pack_at_tile(ad, k, m, row0, h, buf);
-    });
+    let pack = |row0, h, buf: &mut Vec<f32>| pack_at_tile(ad, k, m, row0, h, buf);
+    let tiles = a_tiles.map_or(ATiles::Pack(&pack), ATiles::Packed);
+    gemm_packed_rows(&bpack, m, n, out, 0, Epilogue::Store, tiles);
     put_pack_b(bpack);
 }
 
@@ -449,7 +508,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let flops = 2 * m * k * n;
     let tasks = row_tasks(k, MR, flops, TASK_FLOPS_AT_B, par::current_threads());
     if tasks <= 1 {
-        gemm_at_b_slices(ad, bd, c.data_mut(), m, k, n);
+        gemm_at_b_slices(ad, None, bd, c.data_mut(), m, k, n);
         return c;
     }
     let mut bpack = take_pack_b();
@@ -457,10 +516,9 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let tiles = k.div_ceil(MR);
     let chunk_rows = tiles.div_ceil(tasks) * MR;
     let bref = &bpack;
+    let pack = |row0, h, buf: &mut Vec<f32>| pack_at_tile(ad, k, m, row0, h, buf);
     par::par_chunks_mut(c.data_mut(), chunk_rows * n, |ci, chunk| {
-        gemm_packed_rows(bref, m, n, chunk, ci * chunk_rows, Epilogue::Store, &|row0, h, buf| {
-            pack_at_tile(ad, k, m, row0, h, buf);
-        });
+        gemm_packed_rows(bref, m, n, chunk, ci * chunk_rows, Epilogue::Store, ATiles::Pack(&pack));
     });
     put_pack_b(bpack);
     c
@@ -656,16 +714,39 @@ mod tests {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let mut packed = vec![0.0f32; m * n];
-        gemm_slices(a.data(), b.data(), &mut packed, m, k, n, Epilogue::Store);
+        gemm_slices(a.data(), None, b.data(), &mut packed, m, k, n, Epilogue::Store);
         let mut naive_out = vec![0.0f32; m * n];
         matmul_rows_naive(a.data(), b.data(), &mut naive_out, 0, k, n, Epilogue::Store);
         assert_eq!(packed, naive_out, "matmul paths diverge");
         let at = Tensor::randn(&[k, m], 1.0, &mut rng);
         let mut packed_t = vec![0.0f32; m * n];
-        gemm_at_b_slices(at.data(), b.data(), &mut packed_t, k, m, n);
+        gemm_at_b_slices(at.data(), None, b.data(), &mut packed_t, k, m, n);
         let mut naive_t = vec![0.0f32; m * n];
         at_b_rows_naive(at.data(), b.data(), &mut naive_t, 0, k, m, n);
         assert_eq!(packed_t, naive_t, "at_b paths diverge");
+    }
+
+    /// Tiles packed once up front feed the microkernel exactly what
+    /// on-demand packing does, including ragged last tiles.
+    #[test]
+    fn prepacked_tiles_match_on_demand_packing_bitwise() {
+        let mut rng = rng_from_seed(10);
+        for (m, k, n) in [(13, 29, 21), (4, 36, 64), (16, 144, 4), (5, 7, 300)] {
+            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+            let (mut fresh, mut prepacked) = (vec![0.0f32; m * n], vec![1.0f32; m * n]);
+            gemm_slices(a.data(), None, b.data(), &mut fresh, m, k, n, Epilogue::Store);
+            let tiles = pack_a_tiles(a.data(), m, k);
+            gemm_slices(a.data(), Some(&tiles), b.data(), &mut prepacked, m, k, n, Epilogue::Store);
+            assert_eq!(fresh, prepacked, "A·B {m}x{k}x{n}");
+            // Aᵀ·B with A stored [k, m]: output rows m, contraction k.
+            let at = Tensor::randn(&[k, m], 1.0, &mut rng);
+            let (mut fresh, mut prepacked) = (vec![0.0f32; m * n], vec![1.0f32; m * n]);
+            gemm_at_b_slices(at.data(), None, b.data(), &mut fresh, k, m, n);
+            let tiles = pack_at_tiles(at.data(), k, m);
+            gemm_at_b_slices(at.data(), Some(&tiles), b.data(), &mut prepacked, k, m, n);
+            assert_eq!(fresh, prepacked, "Aᵀ·B {m}x{k}x{n}");
+        }
     }
 
     #[test]
@@ -695,7 +776,7 @@ mod tests {
         let base = matmul(&a, &b);
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 1.0).collect();
         let mut with_bias = vec![0.0f32; m * n];
-        gemm_slices(a.data(), b.data(), &mut with_bias, m, k, n, Epilogue::Bias(&bias));
+        gemm_slices(a.data(), None, b.data(), &mut with_bias, m, k, n, Epilogue::Bias(&bias));
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(with_bias[i * n + j], base.data()[i * n + j] + bias[i]);
@@ -706,6 +787,7 @@ mod tests {
         let mut fused = vec![0.0f32; m * n];
         gemm_slices(
             a.data(),
+            None,
             b.data(),
             &mut fused,
             m,

@@ -141,14 +141,17 @@ impl Layer for BatchNorm2d {
                 *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
             }
             // Phase 2 — normalise, one task per batch item; each writes its
-            // disjoint out chunk and returns its xhat chunk. Pure per-element
-            // expressions, so any partition gives identical bits.
+            // disjoint out and xhat chunks. Pure per-element expressions, so
+            // any partition gives identical bits.
             let mut xhat = Tensor::zeros(d);
             if item > 0 && n > 0 {
                 let (gamma, beta) = (self.gamma.data(), self.beta.data());
-                let xhat_chunks: Vec<Vec<f32>> =
-                    par::par_chunks_mut_map(out.data_mut(), item, |b, out_chunk| {
-                        let mut xh_chunk = vec![0.0f32; item];
+                par::par_chunks_mut2(
+                    out.data_mut(),
+                    item,
+                    xhat.data_mut(),
+                    item,
+                    |b, out_chunk, xh_chunk| {
                         for ch in 0..c {
                             let (mean, _, invstd) = stats[ch];
                             let (g, bshift) = (gamma[ch], beta[ch]);
@@ -160,11 +163,8 @@ impl Layer for BatchNorm2d {
                                 out_chunk[base + i] = g * xh + bshift;
                             }
                         }
-                        xh_chunk
-                    });
-                for (b, chunk) in xhat_chunks.into_iter().enumerate() {
-                    xhat.data_mut()[b * item..(b + 1) * item].copy_from_slice(&chunk);
-                }
+                    },
+                );
             }
             self.cached_xhat = Some(xhat);
         } else if item > 0 && n > 0 {

@@ -1,8 +1,17 @@
 use crate::im2col::{col2im_into, im2col_into, ConvGeom};
-use crate::matmul::{gemm_a_bt_slices, gemm_at_b_slices, gemm_slices, Epilogue};
+use crate::matmul::{
+    gemm_a_bt_slices, gemm_at_b_slices, gemm_slices, pack_a_tiles, pack_at_tiles, Epilogue,
+};
 use crate::nn::Layer;
 use crate::optim::Param;
 use crate::{init, par, Rng, Tensor};
+use std::cell::Cell;
+
+thread_local! {
+    /// Reusable per-thread column-gradient buffer for one backward item
+    /// (taken, not borrowed, so a re-entrant call allocates afresh).
+    static GCOLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
 
 /// 2-D convolution over NCHW input.
 ///
@@ -263,6 +272,8 @@ impl Conv2d {
         }
         let weight = self.weight.data();
         let (out_c, ohw) = (self.out_c, oh * ow);
+        // Every item multiplies the same weight: pack its tiles once.
+        let w_tiles = pack_a_tiles(weight, out_c, col_rows);
         par::par_chunks_mut2(
             out.data_mut(),
             out_item,
@@ -270,7 +281,7 @@ impl Conv2d {
             col_len,
             |b, dst, cols| {
                 im2col_into(&xd[b * item..(b + 1) * item], g, cols);
-                gemm_slices(weight, cols, dst, out_c, col_rows, ohw, epi);
+                gemm_slices(weight, Some(&w_tiles), cols, dst, out_c, col_rows, ohw, epi);
             },
         );
         out
@@ -295,38 +306,57 @@ impl Layer for Conv2d {
         let in_item = in_c * in_h * in_w;
         // Per-item contributions in parallel: each task reads its slab of
         // the retained column buffer, scatters into its disjoint grad_in
-        // chunk, and returns its (dW, db) terms. Folding those serially in
-        // ascending batch order reproduces the serial accumulation
-        // bitwise. The GEMMs run serially inside each task — batch-level
-        // parallelism is already in effect.
+        // chunk, and writes its (dW, db) terms into its own contribution
+        // slab. Folding the slabs serially in ascending batch order
+        // reproduces the serial accumulation bitwise. The GEMMs run
+        // serially inside each task — batch-level parallelism is already
+        // in effect.
         let weight = self.weight.data();
         let cols_buf = &self.cols_buf;
         let god = grad_out.data();
-        let (out_c, ohw, has_bias) = (self.out_c, oh * ow, self.bias.is_some());
-        let contribs: Vec<(Vec<f32>, Vec<f32>)> =
-            par::par_chunks_mut_map(grad_in.data_mut(), in_item, |b, gi_chunk| {
+        let (out_c, ohw) = (self.out_c, oh * ow);
+        let gw_len = out_c * col_rows;
+        let gb_len = if self.bias.is_some() { out_c } else { 0 };
+        let slab = (gw_len + gb_len).max(1);
+        let mut contribs = vec![0.0f32; n * slab];
+        let wt_tiles = pack_at_tiles(weight, out_c, col_rows);
+        par::par_chunks_mut2(
+            grad_in.data_mut(),
+            in_item,
+            &mut contribs,
+            slab,
+            |b, gi_chunk, terms| {
                 let gout = &god[b * out_item..(b + 1) * out_item];
                 let cols = &cols_buf[b * col_len..(b + 1) * col_len];
+                let (gw, gb) = terms.split_at_mut(gw_len);
                 // dW_b = gout · colsᵀ
-                let mut gw = vec![0.0f32; out_c * col_rows];
-                gemm_a_bt_slices(gout, cols, &mut gw, out_c, ohw, col_rows);
-                let gb: Vec<f32> = if has_bias {
-                    (0..out_c).map(|c| gout[c * ohw..(c + 1) * ohw].iter().sum()).collect()
+                gemm_a_bt_slices(gout, cols, gw, out_c, ohw, col_rows);
+                for (c, v) in gb[..gb_len].iter_mut().enumerate() {
+                    *v = gout[c * ohw..(c + 1) * ohw].iter().sum();
+                }
+                // d cols = Wᵀ · gout, then scatter back to image space. A
+                // pointwise conv's scatter is the identity (`0.0 + v`, and a
+                // GEMM sum starting from +0.0 is never -0.0), so its GEMM
+                // writes the input gradient directly.
+                if g.is_pointwise() {
+                    gemm_at_b_slices(weight, Some(&wt_tiles), gout, gi_chunk, out_c, col_rows, ohw);
                 } else {
-                    Vec::new()
-                };
-                // d cols = Wᵀ · gout, then scatter back to image space.
-                let mut gcols = vec![0.0f32; col_len];
-                gemm_at_b_slices(weight, gout, &mut gcols, out_c, col_rows, ohw);
-                col2im_into(&gcols, g, gi_chunk);
-                (gw, gb)
-            });
-        for (gw, gb) in contribs {
-            for (d, s) in self.grad_weight.data_mut().iter_mut().zip(&gw) {
+                    let mut gcols = GCOLS.with(Cell::take);
+                    gcols.clear();
+                    gcols.resize(col_len, 0.0);
+                    gemm_at_b_slices(weight, Some(&wt_tiles), gout, &mut gcols, out_c, col_rows, ohw);
+                    col2im_into(&gcols, g, gi_chunk);
+                    GCOLS.with(|c| c.set(gcols));
+                }
+            },
+        );
+        for terms in contribs.chunks_exact(slab) {
+            let (gw, gb) = terms.split_at(gw_len);
+            for (d, s) in self.grad_weight.data_mut().iter_mut().zip(gw) {
                 *d += s;
             }
-            for (c, v) in gb.into_iter().enumerate() {
-                self.grad_bias.data_mut()[c] += v;
+            for (d, s) in self.grad_bias.data_mut().iter_mut().zip(&gb[..gb_len]) {
+                *d += s;
             }
         }
         grad_in
@@ -394,6 +424,29 @@ mod tests {
         let x = Tensor::randn(&[1, 2, 6, 6], 1.0, &mut rng);
         gradcheck::check_input_grad(&mut c, &x, 0.05);
         gradcheck::check_param_grads(&mut c, &x, 0.05);
+    }
+
+    /// A pointwise conv's backward writes its GEMM straight into the input
+    /// gradient; that must equal the lowered path (GEMM into columns, then
+    /// the col2im scatter) bit for bit.
+    #[test]
+    fn pointwise_backward_matches_the_lowered_path_bitwise() {
+        let mut rng = rng_from_seed(58);
+        let mut c = Conv2d::new(6, 5, 1, 1, 1, 0, true, &mut rng);
+        let x = Tensor::randn(&[3, 6, 4, 5], 1.0, &mut rng);
+        let gout = Tensor::randn(c.forward(&x, true).dims(), 1.0, &mut rng);
+        let gin = c.backward(&gout);
+        let (g, item, out_item) = (c.geom(4, 5), 6 * 20, 5 * 20);
+        assert!(g.is_pointwise());
+        for b in 0..3 {
+            let gout_b = &gout.data()[b * out_item..(b + 1) * out_item];
+            let mut gcols = vec![0.0f32; item];
+            gemm_at_b_slices(c.weight.data(), None, gout_b, &mut gcols, 5, 6, 20);
+            let mut want = vec![0.0f32; item];
+            col2im_into(&gcols, g, &mut want);
+            let got = &gin.data()[b * item..(b + 1) * item];
+            assert!(got.iter().zip(&want).all(|(a, w)| a.to_bits() == w.to_bits()), "item {b}");
+        }
     }
 
     #[test]

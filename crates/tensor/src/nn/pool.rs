@@ -32,12 +32,17 @@ impl Layer for MaxPool2 {
             self.argmax = Vec::new();
             return out;
         }
-        // One task per batch item: disjoint output chunk, argmax chunk
-        // returned and reassembled in batch order.
+        // One task per batch item: disjoint output and argmax chunks.
         let xd = x.data();
-        let argmax_chunks: Vec<Vec<usize>> =
-            par::par_chunks_mut_map(out.data_mut(), out_item, |b, out_chunk| {
-                let mut am = vec![0usize; out_item];
+        let mut argmax = std::mem::take(&mut self.argmax);
+        argmax.clear();
+        argmax.resize(n * out_item, 0);
+        par::par_chunks_mut2(
+            out.data_mut(),
+            out_item,
+            &mut argmax,
+            out_item,
+            |b, out_chunk, am| {
                 let mut oi = 0usize;
                 for ch in 0..c {
                     let plane = &xd[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
@@ -62,9 +67,9 @@ impl Layer for MaxPool2 {
                         }
                     }
                 }
-                am
-            });
-        self.argmax = argmax_chunks.concat();
+            },
+        );
+        self.argmax = argmax;
         out
     }
 

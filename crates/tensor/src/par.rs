@@ -13,7 +13,11 @@
 //! **Thread budget.** Resolution order: the thread-local [`with_threads`]
 //! override (tests) → the `AUTOMC_THREADS` environment variable (read
 //! once) → the process-wide [`configure_threads`] knob (the bench
-//! harness's scale config) → available hardware parallelism.
+//! harness's scale config) → available hardware parallelism, probed at
+//! most once per process and only when every earlier layer is unset.
+//! Every kernel call resolves the budget, so resolution must stay free of
+//! syscalls: `std::thread::available_parallelism` re-reads the cgroup
+//! files on each call.
 //!
 //! **Panics.** A panicking task does not poison the pool: the panic is
 //! caught on the worker, the run is drained, and the submitting caller
@@ -55,24 +59,27 @@ fn env_threads() -> Option<usize> {
     })
 }
 
+/// Available hardware parallelism, probed once per process.
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Pure thread-budget resolution: override → env → knob → hardware, where
-/// 0 (or an unset layer) defers to the next one. Always ≥ 1.
+/// 0 (or an unset layer) defers to the next one. Always ≥ 1. `hardware`
+/// is called only when the other three layers are all unset.
 pub fn resolve_threads(
     override_threads: Option<usize>,
     env: Option<usize>,
     knob: usize,
-    hardware: usize,
+    hardware: impl FnOnce() -> usize,
 ) -> usize {
     let n = override_threads
         .filter(|&n| n > 0)
         .or(env.filter(|&n| n > 0))
         .unwrap_or(knob);
     if n == 0 {
-        hardware.max(1)
+        hardware().max(1)
     } else {
         n
     }
@@ -82,7 +89,7 @@ pub fn resolve_threads(
 pub fn current_threads() -> usize {
     let ov = OVERRIDE.with(Cell::get);
     let ov = if ov == usize::MAX { None } else { Some(ov) };
-    resolve_threads(ov, env_threads(), KNOB.load(Ordering::Relaxed), hardware_threads())
+    resolve_threads(ov, env_threads(), KNOB.load(Ordering::Relaxed), hardware_threads)
 }
 
 /// Set the process-wide thread knob (0 = auto). `AUTOMC_THREADS` still
@@ -441,12 +448,28 @@ mod tests {
     #[test]
     fn resolution_precedence() {
         // override > env > knob > hardware; zeros defer.
-        assert_eq!(resolve_threads(Some(3), Some(5), 7, 9), 3);
-        assert_eq!(resolve_threads(None, Some(5), 7, 9), 5);
-        assert_eq!(resolve_threads(None, None, 7, 9), 7);
-        assert_eq!(resolve_threads(None, None, 0, 9), 9);
-        assert_eq!(resolve_threads(Some(0), Some(0), 0, 9), 9);
-        assert_eq!(resolve_threads(None, None, 0, 0), 1);
+        assert_eq!(resolve_threads(Some(3), Some(5), 7, || 9), 3);
+        assert_eq!(resolve_threads(None, Some(5), 7, || 9), 5);
+        assert_eq!(resolve_threads(None, None, 7, || 9), 7);
+        assert_eq!(resolve_threads(None, None, 0, || 9), 9);
+        assert_eq!(resolve_threads(Some(0), Some(0), 0, || 9), 9);
+        assert_eq!(resolve_threads(None, None, 0, || 0), 1);
+    }
+
+    #[test]
+    fn hardware_probe_runs_only_when_every_layer_is_unset() {
+        let probe = || -> usize { panic!("hardware probed although a budget was pinned") };
+        assert_eq!(resolve_threads(Some(2), None, 0, probe), 2);
+        assert_eq!(resolve_threads(None, Some(3), 0, probe), 3);
+        assert_eq!(resolve_threads(None, None, 4, probe), 4);
+        assert_eq!(resolve_threads(Some(0), Some(0), 5, probe), 5);
+        let calls = Cell::new(0);
+        let counted = || {
+            calls.set(calls.get() + 1);
+            6
+        };
+        assert_eq!(resolve_threads(Some(0), None, 0, counted), 6);
+        assert_eq!(calls.get(), 1);
     }
 
     #[test]

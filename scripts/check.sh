@@ -328,4 +328,19 @@ if [ "$lint_fail" -ne 0 ]; then
 fi
 echo "recovery-path lint passed"
 
+# ---------------------------------------------------------------------------
+# Hardware-probe lint: `std::thread::available_parallelism` re-reads the
+# cgroup files on every call, so the only caller is `par`'s once-per-process
+# probe. Every other thread count goes through `par::current_threads`.
+# ---------------------------------------------------------------------------
+echo "== hardware-probe lint =="
+probe_hits=$(grep -rln --include='*.rs' 'available_parallelism' \
+    src tests examples crates perfbench | grep -vx 'crates/tensor/src/par.rs' || true)
+if [ -n "$probe_hits" ]; then
+    echo "lint: available_parallelism outside crates/tensor/src/par.rs:"
+    echo "$probe_hits"
+    exit 1
+fi
+echo "hardware-probe lint passed"
+
 echo "All checks passed."
