@@ -126,8 +126,6 @@ pub(crate) fn im2col_into(img: &[f32], g: ConvGeom, cols: &mut [f32]) {
     debug_assert_eq!(img.len(), g.in_c * g.in_h * g.in_w);
     if g.is_pointwise() {
         cols.copy_from_slice(img);
-    } else if cols.is_empty() || img.is_empty() {
-        cols.fill(0.0);
     } else if g.pad == 0 {
         lower_rows(img, g, g.in_h, g.in_w, cols);
     } else {
@@ -173,17 +171,7 @@ fn scatter_rows(cols: &[f32], g: ConvGeom, ph: usize, pw: usize, planes: &mut [f
 pub(crate) fn col2im_into(cols: &[f32], g: ConvGeom, img: &mut [f32]) {
     debug_assert_eq!(cols.len(), g.in_c * g.kh * g.kw * g.out_h() * g.out_w());
     debug_assert_eq!(img.len(), g.in_c * g.in_h * g.in_w);
-    if g.is_pointwise() {
-        // `0.0 + v`, not a copy: accumulating onto zeros maps -0.0 to +0.0.
-        for (d, &v) in img.iter_mut().zip(cols) {
-            *d = 0.0 + v;
-        }
-        return;
-    }
     img.fill(0.0);
-    if cols.is_empty() || img.is_empty() {
-        return;
-    }
     if g.pad == 0 {
         scatter_rows(cols, g, g.in_h, g.in_w, img);
         return;

@@ -18,11 +18,13 @@
 //! (`panel[p][lane] = B[p][j0+lane]`, zero-padded at the right edge), so
 //! the microkernel streams it contiguously; the one packing pass is
 //! amortised across every row block — including all parallel row-block
-//! tasks, which share the same read-only packed buffer. A is packed one
-//! MR-row tile at a time (`tile[p][r] = A[i0+r][p]`, zero-padded), small
-//! enough to stay L1-resident across the whole panel sweep. Pack buffers
-//! are thread-local and reused across calls, so steady-state training
-//! does not allocate per matmul.
+//! tasks, which share the same read-only packed buffer. A is packed once
+//! per call too, into MR-row tiles stored back to back (`tile[p][r] =
+//! A[i0+r][p]`, zero-padded); one tile is small enough to stay
+//! L1-resident across the whole panel sweep. `Conv2d` packs its weight
+//! once per layer call and every batch item's GEMM reads those tiles.
+//! Pack buffers are thread-local and reused across calls, so steady-state
+//! training does not allocate per matmul.
 //!
 //! **Determinism.** Every output element accumulates its `k` products in
 //! strictly ascending contraction order through a single accumulator
@@ -205,33 +207,39 @@ fn pack_b_panels(bd: &[f32], k: usize, n: usize, out: &mut Vec<f32>) {
     }
 }
 
-/// Pack one MR-row tile of row-major `A[m,k]`: rows `row0..row0+h` become
-/// `out[p·MR + r] = A[row0+r][p]`, with rows `h..MR` zero-padded (they
-/// contribute nothing and are never written back).
-fn pack_a_tile(ad: &[f32], k: usize, row0: usize, h: usize, out: &mut Vec<f32>) {
+/// Pack row-major `A[m,k]` into MR-row tiles stored back to back: tile
+/// `t` (rows `t·MR..`) is `out[t·k·MR + p·MR + r] = A[t·MR+r][p]`, with
+/// rows past `m` zero-padded (they contribute nothing and are never
+/// written back).
+pub(crate) fn pack_a_tiles(ad: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
     out.clear();
-    out.resize(k * MR, 0.0);
-    for r in 0..h {
-        let a_row = &ad[(row0 + r) * k..(row0 + r + 1) * k];
-        for (p, &v) in a_row.iter().enumerate() {
-            out[p * MR + r] = v;
+    out.resize(m.div_ceil(MR) * k * MR, 0.0);
+    for i in 0..m {
+        let tile = &mut out[i / MR * k * MR..];
+        for (p, &v) in ad[i * k..(i + 1) * k].iter().enumerate() {
+            tile[p * MR + i % MR] = v;
         }
     }
 }
 
-/// Pack one MR-row tile of *transposed* `A` for `Aᵀ·B`: output row `p` of
-/// `C` is column `p` of `A[m,k]`, so `out[i·MR + r] = A[i][row0+r]` with
-/// the contraction index `i` running over the `m` rows of `A`.
-fn pack_at_tile(ad: &[f32], k: usize, m: usize, row0: usize, h: usize, out: &mut Vec<f32>) {
+/// Pack *transposed* `A` for `Aᵀ·B` the same way: output row `j` of `C`
+/// is column `j` of `A[m,k]`, so tile `t` is `out[t·m·MR + i·MR + r] =
+/// A[i][t·MR+r]`, with the contraction index `i` running over the `m`
+/// rows of `A`.
+pub(crate) fn pack_at_tiles(ad: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
     out.clear();
-    out.resize(m * MR, 0.0);
-    for (i, lanes) in out.chunks_exact_mut(MR).enumerate() {
-        let src = &ad[i * k + row0..i * k + row0 + h];
-        // Constant width for full tiles, so the copy is inlined.
-        if h == MR {
-            lanes.copy_from_slice(&src[..MR]);
-        } else {
-            lanes[..h].copy_from_slice(src);
+    out.resize(k.div_ceil(MR) * m * MR, 0.0);
+    for t in 0..k.div_ceil(MR) {
+        let (row0, h) = (t * MR, MR.min(k - t * MR));
+        let tile = &mut out[t * m * MR..(t + 1) * m * MR];
+        for (i, lanes) in tile.chunks_exact_mut(MR).enumerate() {
+            let src = &ad[i * k + row0..i * k + row0 + h];
+            // Constant width for full tiles, so the copy is inlined.
+            if h == MR {
+                lanes.copy_from_slice(&src[..MR]);
+            } else {
+                lanes[..h].copy_from_slice(src);
+            }
         }
     }
 }
@@ -259,72 +267,30 @@ fn microkernel(ap: &[f32], bp: &[f32], k: usize, acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Pack every MR-row tile of an `m`-row left operand back to back, tile
-/// `t` at `[t·kc·MR, (t+1)·kc·MR)`, with `pack_tile` (the same per-tile
-/// packer the on-demand path uses, so the layout is identical). Lets a
-/// conv weight be packed once per layer call instead of once per batch
-/// item.
-fn pack_all_tiles(m: usize, kc: usize, pack_tile: &dyn Fn(usize, usize, &mut Vec<f32>)) -> Vec<f32> {
-    let mut all = Vec::with_capacity(m.div_ceil(MR) * kc * MR);
-    let mut tile = Vec::new();
-    for row0 in (0..m).step_by(MR) {
-        pack_tile(row0, MR.min(m - row0), &mut tile);
-        all.extend_from_slice(&tile);
-    }
-    all
-}
-
-/// [`pack_all_tiles`] for the `A·B` left operand `A[m,k]`.
-pub(crate) fn pack_a_tiles(ad: &[f32], m: usize, k: usize) -> Vec<f32> {
-    pack_all_tiles(m, k, &|row0, h, buf| pack_a_tile(ad, k, row0, h, buf))
-}
-
-/// [`pack_all_tiles`] for the `Aᵀ·B` left operand, `A` stored `[m,k]`.
-pub(crate) fn pack_at_tiles(ad: &[f32], m: usize, k: usize) -> Vec<f32> {
-    pack_all_tiles(k, m, &|row0, h, buf| pack_at_tile(ad, k, m, row0, h, buf))
-}
-
-/// Where [`gemm_packed_rows`] gets each MR-row tile of its left operand.
-#[derive(Clone, Copy)]
-enum ATiles<'a> {
-    /// Pack the tile for (absolute first row, height) on demand.
-    Pack(&'a dyn Fn(usize, usize, &mut Vec<f32>)),
-    /// Every tile packed up front by [`pack_all_tiles`].
-    Packed(&'a [f32]),
-}
-
-/// Compute rows `first_row..first_row+rows` (`first_row` MR-aligned) of a
-/// packed contraction into `out` (a block of whole `n`-wide rows). `kc` is
-/// the contraction length. Shared by the `A·B` and `Aᵀ·B` drivers — only
-/// the A packing differs.
+/// Compute rows `first_row..first_row+rows` (`first_row` MR-aligned) of
+/// a packed contraction into `out` (a block of whole `n`-wide rows). `kc`
+/// is the contraction length, `apack` every A tile and `bpack` every B
+/// panel. Shared by the `A·B` and `Aᵀ·B` drivers — only the A packing
+/// ([`pack_a_tiles`] or [`pack_at_tiles`]) differs.
 fn gemm_packed_rows(
+    apack: &[f32],
     bpack: &[f32],
     kc: usize,
     n: usize,
     out: &mut [f32],
     first_row: usize,
     epi: Epilogue<'_>,
-    a_tiles: ATiles<'_>,
 ) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     let panels = n.div_ceil(NR);
-    let mut apack = take_pack_a();
     let mut r0 = 0usize;
     while r0 < rows {
         let h = MR.min(rows - r0);
-        let tile: &[f32] = match a_tiles {
-            ATiles::Pack(pack_tile) => {
-                pack_tile(first_row + r0, h, &mut apack);
-                &apack
-            }
-            ATiles::Packed(all) => {
-                let t = (first_row + r0) / MR;
-                &all[t * kc * MR..(t + 1) * kc * MR]
-            }
-        };
+        let t = (first_row + r0) / MR;
+        let tile = &apack[t * kc * MR..(t + 1) * kc * MR];
         for panel in 0..panels {
             let j0 = panel * NR;
             let w = NR.min(n - j0);
@@ -337,7 +303,21 @@ fn gemm_packed_rows(
         }
         r0 += h;
     }
-    put_pack_a(apack);
+}
+
+/// Run a packed contraction (`Epilogue::Store`) writing whole `n`-wide
+/// rows of `out`: serially for one task, else as MR-aligned row blocks
+/// on the pool (so no microtile straddles a task boundary), every task
+/// reading the same packed operands.
+fn gemm_packed(apack: &[f32], bpack: &[f32], kc: usize, n: usize, out: &mut [f32], tasks: usize) {
+    if tasks <= 1 {
+        gemm_packed_rows(apack, bpack, kc, n, out, 0, Epilogue::Store);
+        return;
+    }
+    let chunk_rows = (out.len() / n).div_ceil(MR).div_ceil(tasks) * MR;
+    par::par_chunks_mut(out, chunk_rows * n, |ci, chunk| {
+        gemm_packed_rows(apack, bpack, kc, n, chunk, ci * chunk_rows, Epilogue::Store);
+    });
 }
 
 // ------------------------------------------------------------------------
@@ -371,12 +351,12 @@ fn matmul_rows_naive(
 
 /// Slice-level `C[m,n] = A[m,k]·B[k,n]` with a fused write epilogue,
 /// always on the calling thread. The building block `Conv2d` uses inside
-/// its batch-parallel items; `a_tiles` is `A` already packed by
-/// [`pack_a_tiles`] (`None` packs it here).
+/// its batch-parallel items: `a_tiles` is `ad` packed by [`pack_a_tiles`]
+/// (once per layer call), read unless the contraction is too small to pack.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_slices(
     ad: &[f32],
-    a_tiles: Option<&[f32]>,
+    a_tiles: &[f32],
     bd: &[f32],
     out: &mut [f32],
     m: usize,
@@ -394,9 +374,7 @@ pub(crate) fn gemm_slices(
     }
     let mut bpack = take_pack_b();
     pack_b_panels(bd, k, n, &mut bpack);
-    let pack = |row0, h, buf: &mut Vec<f32>| pack_a_tile(ad, k, row0, h, buf);
-    let tiles = a_tiles.map_or(ATiles::Pack(&pack), ATiles::Packed);
-    gemm_packed_rows(&bpack, k, n, out, 0, epi, tiles);
+    gemm_packed_rows(a_tiles, &bpack, k, n, out, 0, epi);
     put_pack_b(bpack);
 }
 
@@ -411,23 +389,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         return c;
     }
     let flops = 2 * m * ka * n;
-    let tasks = row_tasks(m, MR, flops, TASK_FLOPS_AB, par::current_threads());
-    if tasks <= 1 {
-        gemm_slices(ad, None, bd, c.data_mut(), m, ka, n, Epilogue::Store);
+    if flops < PACK_MIN_FLOPS {
+        matmul_rows_naive(ad, bd, c.data_mut(), 0, ka, n, Epilogue::Store);
         return c;
     }
-    // Pack B once on the calling thread; every row-block task reads the
-    // same packed panels. Blocks are MR-aligned so no microtile straddles
-    // a task boundary.
-    let mut bpack = take_pack_b();
+    // Pack both operands once on the calling thread; every row-block task
+    // reads the same packed tiles and panels.
+    let (mut apack, mut bpack) = (take_pack_a(), take_pack_b());
+    pack_a_tiles(ad, m, ka, &mut apack);
     pack_b_panels(bd, ka, n, &mut bpack);
-    let tiles = m.div_ceil(MR);
-    let chunk_rows = tiles.div_ceil(tasks) * MR;
-    let bref = &bpack;
-    let pack = |row0, h, buf: &mut Vec<f32>| pack_a_tile(ad, ka, row0, h, buf);
-    par::par_chunks_mut(c.data_mut(), chunk_rows * n, |ci, chunk| {
-        gemm_packed_rows(bref, ka, n, chunk, ci * chunk_rows, Epilogue::Store, ATiles::Pack(&pack));
-    });
+    let tasks = row_tasks(m, MR, flops, TASK_FLOPS_AB, par::current_threads());
+    gemm_packed(&apack, &bpack, ka, n, c.data_mut(), tasks);
+    put_pack_a(apack);
     put_pack_b(bpack);
     c
 }
@@ -463,11 +436,11 @@ fn at_b_rows_naive(
 }
 
 /// Slice-level `C[k,n] = Aᵀ[k,m]·B[m,n]` (A stored `[m,k]`), serial;
-/// `a_tiles` is `Aᵀ` already packed by [`pack_at_tiles`] (`None` packs it
-/// here).
+/// `a_tiles` is `ad` packed by [`pack_at_tiles`], read unless the
+/// contraction is too small to pack.
 pub(crate) fn gemm_at_b_slices(
     ad: &[f32],
-    a_tiles: Option<&[f32]>,
+    a_tiles: &[f32],
     bd: &[f32],
     out: &mut [f32],
     m: usize,
@@ -484,16 +457,14 @@ pub(crate) fn gemm_at_b_slices(
     }
     let mut bpack = take_pack_b();
     pack_b_panels(bd, m, n, &mut bpack);
-    let pack = |row0, h, buf: &mut Vec<f32>| pack_at_tile(ad, k, m, row0, h, buf);
-    let tiles = a_tiles.map_or(ATiles::Pack(&pack), ATiles::Packed);
-    gemm_packed_rows(&bpack, m, n, out, 0, Epilogue::Store, tiles);
+    gemm_packed_rows(a_tiles, &bpack, m, n, out, 0, Epilogue::Store);
     put_pack_b(bpack);
 }
 
 /// `C[k,n] = Aᵀ[k,m] · B[m,n]` where `A` is `[m,k]`.
 ///
-/// Never materialises the transpose as a whole: A tiles are packed
-/// MR columns at a time. Parallel tasks own disjoint MR-aligned bands of
+/// Never materialises the transpose as such: A is packed straight into
+/// MR-column tiles. Parallel tasks own disjoint MR-aligned bands of
 /// output rows `p`; each element accumulates over `i` in ascending order,
 /// exactly like the serial (and historical) kernel.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
@@ -506,20 +477,16 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
         return c;
     }
     let flops = 2 * m * k * n;
-    let tasks = row_tasks(k, MR, flops, TASK_FLOPS_AT_B, par::current_threads());
-    if tasks <= 1 {
-        gemm_at_b_slices(ad, None, bd, c.data_mut(), m, k, n);
+    if flops < PACK_MIN_FLOPS {
+        at_b_rows_naive(ad, bd, c.data_mut(), 0, m, k, n);
         return c;
     }
-    let mut bpack = take_pack_b();
+    let (mut apack, mut bpack) = (take_pack_a(), take_pack_b());
+    pack_at_tiles(ad, m, k, &mut apack);
     pack_b_panels(bd, m, n, &mut bpack);
-    let tiles = k.div_ceil(MR);
-    let chunk_rows = tiles.div_ceil(tasks) * MR;
-    let bref = &bpack;
-    let pack = |row0, h, buf: &mut Vec<f32>| pack_at_tile(ad, k, m, row0, h, buf);
-    par::par_chunks_mut(c.data_mut(), chunk_rows * n, |ci, chunk| {
-        gemm_packed_rows(bref, m, n, chunk, ci * chunk_rows, Epilogue::Store, ATiles::Pack(&pack));
-    });
+    let tasks = row_tasks(k, MR, flops, TASK_FLOPS_AT_B, par::current_threads());
+    gemm_packed(&apack, &bpack, m, n, c.data_mut(), tasks);
+    put_pack_a(apack);
     put_pack_b(bpack);
     c
 }
@@ -713,40 +680,20 @@ mod tests {
         let (m, k, n) = (13, 29, 21);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let mut tiles = Vec::new();
+        pack_a_tiles(a.data(), m, k, &mut tiles);
         let mut packed = vec![0.0f32; m * n];
-        gemm_slices(a.data(), None, b.data(), &mut packed, m, k, n, Epilogue::Store);
+        gemm_slices(a.data(), &tiles, b.data(), &mut packed, m, k, n, Epilogue::Store);
         let mut naive_out = vec![0.0f32; m * n];
         matmul_rows_naive(a.data(), b.data(), &mut naive_out, 0, k, n, Epilogue::Store);
         assert_eq!(packed, naive_out, "matmul paths diverge");
         let at = Tensor::randn(&[k, m], 1.0, &mut rng);
+        pack_at_tiles(at.data(), k, m, &mut tiles);
         let mut packed_t = vec![0.0f32; m * n];
-        gemm_at_b_slices(at.data(), None, b.data(), &mut packed_t, k, m, n);
+        gemm_at_b_slices(at.data(), &tiles, b.data(), &mut packed_t, k, m, n);
         let mut naive_t = vec![0.0f32; m * n];
         at_b_rows_naive(at.data(), b.data(), &mut naive_t, 0, k, m, n);
         assert_eq!(packed_t, naive_t, "at_b paths diverge");
-    }
-
-    /// Tiles packed once up front feed the microkernel exactly what
-    /// on-demand packing does, including ragged last tiles.
-    #[test]
-    fn prepacked_tiles_match_on_demand_packing_bitwise() {
-        let mut rng = rng_from_seed(10);
-        for (m, k, n) in [(13, 29, 21), (4, 36, 64), (16, 144, 4), (5, 7, 300)] {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-            let (mut fresh, mut prepacked) = (vec![0.0f32; m * n], vec![1.0f32; m * n]);
-            gemm_slices(a.data(), None, b.data(), &mut fresh, m, k, n, Epilogue::Store);
-            let tiles = pack_a_tiles(a.data(), m, k);
-            gemm_slices(a.data(), Some(&tiles), b.data(), &mut prepacked, m, k, n, Epilogue::Store);
-            assert_eq!(fresh, prepacked, "A·B {m}x{k}x{n}");
-            // Aᵀ·B with A stored [k, m]: output rows m, contraction k.
-            let at = Tensor::randn(&[k, m], 1.0, &mut rng);
-            let (mut fresh, mut prepacked) = (vec![0.0f32; m * n], vec![1.0f32; m * n]);
-            gemm_at_b_slices(at.data(), None, b.data(), &mut fresh, k, m, n);
-            let tiles = pack_at_tiles(at.data(), k, m);
-            gemm_at_b_slices(at.data(), Some(&tiles), b.data(), &mut prepacked, k, m, n);
-            assert_eq!(fresh, prepacked, "Aᵀ·B {m}x{k}x{n}");
-        }
     }
 
     #[test]
@@ -774,9 +721,11 @@ mod tests {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let base = matmul(&a, &b);
+        let mut tiles = Vec::new();
+        pack_a_tiles(a.data(), m, k, &mut tiles);
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 1.0).collect();
         let mut with_bias = vec![0.0f32; m * n];
-        gemm_slices(a.data(), None, b.data(), &mut with_bias, m, k, n, Epilogue::Bias(&bias));
+        gemm_slices(a.data(), &tiles, b.data(), &mut with_bias, m, k, n, Epilogue::Bias(&bias));
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(with_bias[i * n + j], base.data()[i * n + j] + bias[i]);
@@ -787,7 +736,7 @@ mod tests {
         let mut fused = vec![0.0f32; m * n];
         gemm_slices(
             a.data(),
-            None,
+            &tiles,
             b.data(),
             &mut fused,
             m,

@@ -272,8 +272,9 @@ impl Conv2d {
         }
         let weight = self.weight.data();
         let (out_c, ohw) = (self.out_c, oh * ow);
-        // Every item multiplies the same weight: pack its tiles once.
-        let w_tiles = pack_a_tiles(weight, out_c, col_rows);
+        // Every item multiplies the same weight: pack it once per call.
+        let mut w_tiles = Vec::new();
+        pack_a_tiles(weight, out_c, col_rows, &mut w_tiles);
         par::par_chunks_mut2(
             out.data_mut(),
             out_item,
@@ -281,7 +282,7 @@ impl Conv2d {
             col_len,
             |b, dst, cols| {
                 im2col_into(&xd[b * item..(b + 1) * item], g, cols);
-                gemm_slices(weight, Some(&w_tiles), cols, dst, out_c, col_rows, ohw, epi);
+                gemm_slices(weight, &w_tiles, cols, dst, out_c, col_rows, ohw, epi);
             },
         );
         out
@@ -319,7 +320,8 @@ impl Layer for Conv2d {
         let gb_len = if self.bias.is_some() { out_c } else { 0 };
         let slab = (gw_len + gb_len).max(1);
         let mut contribs = vec![0.0f32; n * slab];
-        let wt_tiles = pack_at_tiles(weight, out_c, col_rows);
+        let mut wt_tiles = Vec::new();
+        pack_at_tiles(weight, out_c, col_rows, &mut wt_tiles);
         par::par_chunks_mut2(
             grad_in.data_mut(),
             in_item,
@@ -339,12 +341,12 @@ impl Layer for Conv2d {
                 // GEMM sum starting from +0.0 is never -0.0), so its GEMM
                 // writes the input gradient directly.
                 if g.is_pointwise() {
-                    gemm_at_b_slices(weight, Some(&wt_tiles), gout, gi_chunk, out_c, col_rows, ohw);
+                    gemm_at_b_slices(weight, &wt_tiles, gout, gi_chunk, out_c, col_rows, ohw);
                 } else {
                     let mut gcols = GCOLS.with(Cell::take);
                     gcols.clear();
                     gcols.resize(col_len, 0.0);
-                    gemm_at_b_slices(weight, Some(&wt_tiles), gout, &mut gcols, out_c, col_rows, ohw);
+                    gemm_at_b_slices(weight, &wt_tiles, gout, &mut gcols, out_c, col_rows, ohw);
                     col2im_into(&gcols, g, gi_chunk);
                     GCOLS.with(|c| c.set(gcols));
                 }
@@ -438,10 +440,12 @@ mod tests {
         let gin = c.backward(&gout);
         let (g, item, out_item) = (c.geom(4, 5), 6 * 20, 5 * 20);
         assert!(g.is_pointwise());
+        let mut tiles = Vec::new();
+        pack_at_tiles(c.weight.data(), 5, 6, &mut tiles);
         for b in 0..3 {
             let gout_b = &gout.data()[b * out_item..(b + 1) * out_item];
             let mut gcols = vec![0.0f32; item];
-            gemm_at_b_slices(c.weight.data(), None, gout_b, &mut gcols, 5, 6, 20);
+            gemm_at_b_slices(c.weight.data(), &tiles, gout_b, &mut gcols, 5, 6, 20);
             let mut want = vec![0.0f32; item];
             col2im_into(&gcols, g, &mut want);
             let got = &gin.data()[b * item..(b + 1) * item];

@@ -346,30 +346,6 @@ where
     });
 }
 
-/// Like [`par_chunks_mut`], but also collects each task's return value,
-/// ordered by chunk index. Lets a kernel write a disjoint output chunk
-/// *and* hand back a per-task contribution (e.g. a weight-gradient term)
-/// for an ordered serial reduction afterwards.
-pub fn par_chunks_mut_map<T, R, F>(data: &mut [T], chunk_len: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let len = data.len();
-    let tasks = len.div_ceil(chunk_len);
-    let base = SendPtr(data.as_mut_ptr());
-    par_map(tasks, move |i| {
-        let start = i * chunk_len;
-        let end = (start + chunk_len).min(len);
-        // Chunks are disjoint by construction.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(i, chunk)
-    })
-}
-
 /// Partition *two* slices by the same task index and run
 /// `f(i, chunk_a, chunk_b)` for each, possibly concurrently. Both slices
 /// are cut into consecutive chunks (`a_chunk` / `b_chunk` elements, last
@@ -515,25 +491,6 @@ mod tests {
                     }
                 });
                 assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-            });
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_map_collects_in_index_order() {
-        for threads in [1, 4] {
-            with_threads(threads, || {
-                let mut data = vec![1u32; 25];
-                let sums = par_chunks_mut_map(&mut data, 4, |ci, chunk| {
-                    for v in chunk.iter_mut() {
-                        *v += ci as u32;
-                    }
-                    chunk.iter().sum::<u32>()
-                });
-                assert_eq!(sums.len(), 7);
-                let expect: Vec<u32> =
-                    (0..7).map(|ci| (ci + 1) * if ci == 6 { 1 } else { 4 }).collect();
-                assert_eq!(sums, expect);
             });
         }
     }

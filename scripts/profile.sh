@@ -11,9 +11,9 @@
 # repository root with the sampler preloaded, that target dir first on
 # PATH and exported as CARGO_TARGET_DIR (so perfbench builds its probe
 # there too). Only processes whose executable lives in that target dir
-# are sampled; their samples are summed. Symbols come from `nm`.
-# PROFILE_TOP (default 25) sets the table length; PROFILE_FOCUS=SUBSTRING
-# keeps only samples with a frame whose symbol contains SUBSTRING (e.g.
+# are sampled; their samples are summed. Symbols come from `nm`. Each
+# table lists its top 25 symbols. PROFILE_FOCUS=SUBSTRING keeps only
+# samples with a frame whose symbol contains SUBSTRING (e.g.
 # `train::train` for time under training), so percentages are of that.
 set -euo pipefail
 [ $# -gt 0 ] || { echo "usage: scripts/profile.sh CMD [ARGS...]" >&2; exit 2; }
@@ -32,10 +32,11 @@ PATH="$target/release:$PATH" PROFILE_SAMPLE_DIR="$samples" PROFILE_EXE_PREFIX="$
     LD_PRELOAD="$target/profile_sampler.so" "$@"
 code=$?
 set -e
-python3 - "$samples" "${PROFILE_TOP:-25}" "$target/" "${PROFILE_FOCUS:-}" <<'PY'
+python3 - "$samples" "$target/" "${PROFILE_FOCUS:-}" <<'PY'
 import bisect, collections, glob, os, re, subprocess, sys
 
-dir_, top, target, focus = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+TOP = 25  # rows per table
+dir_, target, focus = sys.argv[1], sys.argv[2], sys.argv[3]
 symtabs = {}
 
 def symtab(path):
@@ -118,7 +119,7 @@ scope = f" under frames matching {focus!r}" if focus else ""
 print(f"\n{total} samples of process CPU time{scope} from {procs} process(es)")
 for title, counts in (("self time", self_n), ("inclusive", incl_n)):
     print(f"\n{title:>9}  samples  symbol")
-    for sym, n in counts.most_common(top):
+    for sym, n in counts.most_common(TOP):
         print(f"{100 * n / max(total, 1):8.1f}%  {n:7d}  {sym[:150]}")
 PY
 exit "$code"
