@@ -150,6 +150,11 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     let x = Tensor::randn(&[8, 8, 12, 12], 1.0, &mut rng);
     let y = conv.forward(&x, true);
     let g = Tensor::ones(y.dims());
+    // ResNet-20 stage 3 of the smoke model: 16→16 3×3 on 2×2 maps at the
+    // training batch, where one item's 4 output columns fill half a panel.
+    let mut conv_s3 = Conv2d::new(16, 16, 3, 3, 1, 1, false, &mut rng);
+    let x_s3 = Tensor::randn(&[32, 16, 2, 2], 1.0, &mut rng);
+    let g_s3 = Tensor::ones(conv_s3.forward(&x_s3, true).dims());
     // The smoke model (ResNet-20, width 4, 8×8 inputs) at the training
     // batch (32) and at `train::evaluate`'s eval chunk (64).
     let mut net = resnet(20, 4, 10, (3, 8, 8), &mut rng);
@@ -178,6 +183,12 @@ fn bench_parallel_kernels(c: &mut Criterion) {
             c.bench_function(format!("par_conv3x3_b8_bwd_{tag}"), |bch| {
                 bch.iter(|| run(&mut || drop(black_box(conv.backward(black_box(&g))))))
             });
+            c.bench_function(format!("conv3x3_s3_b32_fwd_{tag}"), |bch| {
+                bch.iter(|| run(&mut || drop(black_box(conv_s3.forward(black_box(&x_s3), true)))))
+            });
+            c.bench_function(format!("conv3x3_s3_b32_bwd_{tag}"), |bch| {
+                bch.iter(|| run(&mut || drop(black_box(conv_s3.backward(black_box(&g_s3))))))
+            });
             c.bench_function(format!("resnet20_w4_b32_train_step_{tag}"), |bch| {
                 bch.iter(|| run(&mut || train_step(&mut net, &mut opt, &x_train, &labels)))
             });
@@ -205,8 +216,8 @@ fn bench_parallel_kernels(c: &mut Criterion) {
         31
     };
     let mut samples: Vec<(String, &'static str, usize, Vec<u64>)> = Vec::new();
-    // Fixed row order: ref, then per mode: matmuls, conv fwd/bwd, model
-    // train step and eval forward.
+    // Fixed row order: ref, then per mode: matmuls, conv fwd/bwd, stage-3
+    // conv fwd/bwd, model train step and eval forward.
     samples.push(("ref_ikj_192".to_string(), "ref", 1, Vec::new()));
     for (tag, threads) in [("t1", 1usize), ("auto", 0)] {
         let eff = if threads == 1 { 1 } else { current_threads() };
@@ -215,6 +226,8 @@ fn bench_parallel_kernels(c: &mut Criterion) {
         }
         samples.push(("conv3x3_b8_fwd".to_string(), tag, eff, Vec::new()));
         samples.push(("conv3x3_b8_bwd".to_string(), tag, eff, Vec::new()));
+        samples.push(("conv3x3_s3_b32_fwd".to_string(), tag, eff, Vec::new()));
+        samples.push(("conv3x3_s3_b32_bwd".to_string(), tag, eff, Vec::new()));
         samples.push(("resnet20_w4_b32_train_step".to_string(), tag, eff, Vec::new()));
         samples.push(("resnet20_w4_b64_eval_fwd".to_string(), tag, eff, Vec::new()));
     }
@@ -239,6 +252,12 @@ fn bench_parallel_kernels(c: &mut Criterion) {
             }
             round.push(run(&mut || time_ns(|| drop(black_box(conv.forward(black_box(&x), true))))));
             round.push(run(&mut || time_ns(|| drop(black_box(conv.backward(black_box(&g)))))));
+            round.push(run(&mut || {
+                time_ns(|| drop(black_box(conv_s3.forward(black_box(&x_s3), true))))
+            }));
+            round.push(run(&mut || {
+                time_ns(|| drop(black_box(conv_s3.backward(black_box(&g_s3)))))
+            }));
             round.push(run(&mut || time_ns(|| train_step(&mut net, &mut opt, &x_train, &labels))));
             round.push(run(&mut || {
                 time_ns(|| drop(black_box(net.forward(black_box(&x_eval), false))))

@@ -39,12 +39,15 @@ use std::process::exit;
 const TOLERANCE: f64 = 1.15;
 
 /// Kernels whose normalised 1-thread medians are gated: the isolated
-/// kernels, plus the smoke model's training step and batch-64 eval
+/// kernels (a 12×12 conv, and the smoke model's stage-3 conv on 2×2
+/// maps), plus the smoke model's training step and batch-64 eval
 /// forward, the shapes the reproduction actually runs.
-const GATED: [&str; 5] = [
+const GATED: [&str; 7] = [
     "matmul_192",
     "conv3x3_b8_fwd",
     "conv3x3_b8_bwd",
+    "conv3x3_s3_b32_fwd",
+    "conv3x3_s3_b32_bwd",
     "resnet20_w4_b32_train_step",
     "resnet20_w4_b64_eval_fwd",
 ];

@@ -244,8 +244,11 @@ impl ConvNet {
         });
     }
 
-    /// Deep copy of the network (weights; transient caches are cloned too,
-    /// which is harmless).
+    /// Deep copy of the network: weights, gradients and layer state. A
+    /// convolution's clone starts without the lowered columns of its last
+    /// forward pass (megabytes after an eval pass); the small per-batch
+    /// caches of other layers are copied, and the next forward pass
+    /// overwrites them either way.
     pub fn clone_net(&self) -> ConvNet {
         ConvNet {
             units: self.units.clone(),
@@ -320,6 +323,33 @@ mod tests {
             (get(&net), get(&copy))
         };
         assert!((copy_w - orig_w - 100.0).abs() < 1e-6);
+    }
+
+    /// A network cloned after a forward pass trains and evaluates bit for
+    /// bit like the original.
+    #[test]
+    fn clone_trains_and_evaluates_like_the_original() {
+        use automc_tensor::loss::softmax_cross_entropy;
+        use automc_tensor::optim::{Optimizer, Sgd, SgdConfig};
+        let mut rng = rng_from_seed(126);
+        let mut net = resnet(20, 4, 10, (3, 8, 8), &mut rng);
+        let x = Tensor::randn(&[8, 3, 8, 8], 1.0, &mut rng);
+        let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
+        net.forward(&x, false);
+        let mut copy = net.clone_net();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut opts = [Sgd::new(SgdConfig::default()), Sgd::new(SgdConfig::default())];
+        for step in 0..3 {
+            let mut outs = Vec::new();
+            for (n, opt) in [&mut net, &mut copy].into_iter().zip(opts.iter_mut()) {
+                let logits = n.forward(&x, true);
+                let (_, grad) = softmax_cross_entropy(&logits, &labels);
+                outs.push(bits(&n.backward(&grad)));
+                opt.step(&mut n.params_mut());
+            }
+            assert_eq!(outs[0], outs[1], "input gradient at step {step}");
+        }
+        assert_eq!(bits(&net.forward(&x, false)), bits(&copy.forward(&x, false)));
     }
 
     #[test]

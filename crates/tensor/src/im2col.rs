@@ -1,15 +1,19 @@
 //! im2col / col2im lowering for convolution.
 //!
-//! Convolution forward becomes one matmul per batch item:
-//! `out[oc, oh*ow] = W[oc, ic*kh*kw] · cols[ic*kh*kw, oh*ow]`,
-//! and the backward pass reuses the same buffers via [`col2im`].
+//! Convolution forward is a matmul over lowered columns:
+//! `out[oc, oh*ow] = W[oc, ic*kh*kw] · cols[ic*kh*kw, oh*ow]` per batch
+//! item, and the backward pass scatters column gradients back with
+//! [`col2im`]. `Conv2d` lowers a *group* of consecutive items at once,
+//! straight into the GEMM's NR-wide B-panel layout ([`lower_group`]): the
+//! group's columns, item-major, are the B matrix of one GEMM.
 //!
 //! Both directions pad the image once into a thread-local scratch plane
 //! instead of bounds-testing every element: each output row of a column
 //! then reads (or, for col2im, accumulates into) one unbroken run of the
-//! padded plane. A 1×1 / stride-1 / pad-0 convolution skips lowering
-//! altogether — its column matrix *is* the image.
+//! padded plane. A 1×1 / stride-1 / pad-0 convolution skips padding and
+//! its backward skips the scatter — its column matrix *is* the image.
 
+use crate::matmul::NR;
 use crate::Tensor;
 use std::cell::Cell;
 
@@ -75,16 +79,211 @@ fn with_padded<R>(
 }
 
 /// Copy a run of `dst.len()` floats from the front of `src`. Output rows
-/// are mostly 1–8 floats wide, where a `memcpy` call costs more than the
-/// copy, so those widths get fixed-size copies the compiler inlines.
+/// and panel runs are mostly 1–8 floats wide, where a `memcpy` call costs
+/// more than the copy, so those widths get fixed-size copies the compiler
+/// inlines.
 #[inline(always)]
-fn copy_run(dst: &mut [f32], src: &[f32]) {
+pub(crate) fn copy_run(dst: &mut [f32], src: &[f32]) {
     match dst.len() {
         1 => dst[0] = src[0],
         2 => dst.copy_from_slice(&src[..2]),
         4 => dst.copy_from_slice(&src[..4]),
         8 => dst.copy_from_slice(&src[..8]),
         n => dst.copy_from_slice(&src[..n]),
+    }
+}
+
+/// A stretch of one panel's lanes fed from one source row: lanes
+/// `lane..lane + len` read `len` values starting at source offset `off`
+/// (stepping by the caller's stride), or, when a panel map addresses an
+/// output, write back to `off..off + len`.
+#[derive(Clone, Copy)]
+pub(crate) struct Run {
+    pub lane: usize,
+    pub len: usize,
+    pub off: usize,
+}
+
+/// Where the columns of a group of consecutive batch items sit in NR-wide
+/// GEMM panels. Column `c` of the group is lane `c % NR` of panel
+/// `c / NR`; columns run item-major, then by source row. Each panel keeps
+/// the runs that feed it, split at panel edges and merged where
+/// consecutive lanes read consecutive source values, so a panel over one
+/// unbroken source run is a single `NR`-wide copy.
+pub(crate) struct PanelRuns {
+    runs: Vec<Run>,
+    /// Panel `p` owns `runs[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl PanelRuns {
+    /// Map `items` items of `rows` source rows of `row_len` columns each.
+    /// Item `i`, row `y`, column `x` reads source offset `i·item_stride +
+    /// y·row_stride + x·step`.
+    pub fn new(
+        items: usize,
+        rows: usize,
+        row_len: usize,
+        item_stride: usize,
+        row_stride: usize,
+        step: usize,
+    ) -> Self {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut starts = Vec::new();
+        let mut col = 0usize;
+        for item in 0..items {
+            for y in 0..rows {
+                let mut off = item * item_stride + y * row_stride;
+                let mut left = row_len;
+                while left > 0 {
+                    let lane = col % NR;
+                    let len = left.min(NR - lane);
+                    match runs.last_mut() {
+                        Some(prev)
+                            if lane > 0
+                                && step == 1
+                                && prev.lane + prev.len == lane
+                                && prev.off + prev.len == off =>
+                        {
+                            prev.len += len
+                        }
+                        _ => {
+                            if lane == 0 {
+                                starts.push(runs.len());
+                            }
+                            runs.push(Run { lane, len, off });
+                        }
+                    }
+                    col += len;
+                    off += len * step;
+                    left -= len;
+                }
+            }
+        }
+        starts.push(runs.len());
+        PanelRuns { runs, starts }
+    }
+
+    /// Number of panels (the last one may be ragged).
+    pub fn panels(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The runs of panel `p`, in lane order.
+    #[inline]
+    pub fn panel(&self, p: usize) -> &[Run] {
+        &self.runs[self.starts[p]..self.starts[p + 1]]
+    }
+}
+
+/// Gather source rows into NR-wide panels laid out like `pack_b_panels`
+/// output: panel `p`, row `r` holds `out[(p·k + r)·NR + lane]` with `k =
+/// row_off.len()`, where each run of panel `p` reads `src[row_off[r] +
+/// run.off + i·step]` into lane `run.lane + i`. Lanes past the last
+/// column are zeroed.
+pub(crate) fn fill_panels(
+    src: &[f32],
+    map: &PanelRuns,
+    row_off: &[usize],
+    step: usize,
+    out: &mut [f32],
+) {
+    let k = row_off.len();
+    debug_assert_eq!(out.len(), map.panels() * k * NR);
+    if k == 0 {
+        return;
+    }
+    for (p, dst) in out.chunks_exact_mut(k * NR).enumerate() {
+        let runs = map.panel(p);
+        if let [r0] = runs {
+            if r0.len == NR && step == 1 {
+                // One unbroken source run fills the panel: a
+                // constant-width copy per row.
+                for (lanes, &ro) in dst.chunks_exact_mut(NR).zip(row_off) {
+                    lanes.copy_from_slice(&src[ro + r0.off..ro + r0.off + NR]);
+                }
+                continue;
+            }
+        }
+        // Otherwise gather lane by lane: short runs and strided reads
+        // cost one load per lane instead of a copy call per run.
+        let mut offs = [0usize; NR];
+        for run in runs {
+            for (i, o) in offs[run.lane..run.lane + run.len].iter_mut().enumerate() {
+                *o = run.off + i * step;
+            }
+        }
+        let used = runs.last().map_or(0, |r| r.lane + r.len);
+        for (lanes, &ro) in dst.chunks_exact_mut(NR).zip(row_off) {
+            let s = &src[ro..];
+            if used == NR {
+                for (d, &o) in lanes.iter_mut().zip(&offs) {
+                    *d = s[o];
+                }
+            } else {
+                for (d, &o) in lanes[..used].iter_mut().zip(&offs) {
+                    *d = s[o];
+                }
+                lanes[used..].fill(0.0);
+            }
+        }
+    }
+}
+
+impl ConvGeom {
+    /// Panel map of the lowered columns of `items` consecutive images:
+    /// output row `oy` of item `i` reads `ow` values of its (padded)
+    /// planes, `stride` apart.
+    pub fn lowering_runs(&self, items: usize) -> PanelRuns {
+        let (ph, pw) = (self.in_h + 2 * self.pad, self.in_w + 2 * self.pad);
+        PanelRuns::new(
+            items,
+            self.out_h(),
+            self.out_w(),
+            self.in_c * ph * pw,
+            self.stride * pw,
+            self.stride,
+        )
+    }
+
+    /// Source offset of each column row `(c, ky, kx)` within one item's
+    /// (padded) planes, in row order.
+    pub fn lowering_rows(&self) -> Vec<usize> {
+        let (ph, pw) = (self.in_h + 2 * self.pad, self.in_w + 2 * self.pad);
+        let mut rows = Vec::with_capacity(self.in_c * self.kh * self.kw);
+        for c in 0..self.in_c {
+            for ky in 0..self.kh {
+                for kx in 0..self.kw {
+                    rows.push((c * ph + ky) * pw + kx);
+                }
+            }
+        }
+        rows
+    }
+}
+
+/// Lower the `items` consecutive images of `x` (`items·C·H·W` floats)
+/// straight into GEMM B panels: the `[C·kh·kw, items·oh·ow]` column matrix
+/// of the group, item-major, in the panel layout `fill_panels` writes.
+/// `runs` and `rows` come from [`ConvGeom::lowering_runs`] /
+/// [`ConvGeom::lowering_rows`]. The values equal [`im2col_into`]'s per
+/// item; only their placement differs.
+pub(crate) fn lower_group(
+    x: &[f32],
+    g: ConvGeom,
+    items: usize,
+    runs: &PanelRuns,
+    rows: &[usize],
+    out: &mut [f32],
+) {
+    debug_assert_eq!(x.len(), items * g.in_c * g.in_h * g.in_w);
+    if g.pad == 0 {
+        fill_panels(x, runs, rows, g.stride, out);
+    } else {
+        // Consecutive items are consecutive planes: pad the group as one
+        // image of `items·C` channels.
+        let planes = ConvGeom { in_c: items * g.in_c, ..g };
+        with_padded(Some(x), planes, |padded, _, _| fill_panels(padded, runs, rows, g.stride, out));
     }
 }
 

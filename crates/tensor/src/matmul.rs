@@ -1,8 +1,14 @@
 //! Packed, cache-blocked matrix multiplication kernels.
 //!
-//! These three kernels cover every contraction the layers need:
-//! `C = A·B` (forward), `C = Aᵀ·B` (weight gradients), `C = A·Bᵀ`
-//! (input gradients).
+//! Three general kernels cover the contractions of `Linear` and the
+//! small dense layers: `C = A·B` ([`matmul`]: linear input gradient),
+//! `C = Aᵀ·B` ([`matmul_at_b`]: linear weight gradient) and `C = A·Bᵀ`
+//! ([`matmul_a_bt`]: linear forward). `Conv2d` runs the same three
+//! contractions on lowered columns: forward `W·cols` (A·B), input
+//! gradient `Wᵀ·gout` (Aᵀ·B) and weight gradient `gout·colsᵀ` (A·Bᵀ).
+//! The first two use the packed microkernel below over B panels that hold
+//! a whole group of batch items ([`gemm_panel_runs`]); the weight gradient
+//! has its own kernel ([`conv_weight_grad`]).
 //!
 //! # Kernel architecture
 //!
@@ -22,9 +28,10 @@
 //! per call too, into MR-row tiles stored back to back (`tile[p][r] =
 //! A[i0+r][p]`, zero-padded); one tile is small enough to stay
 //! L1-resident across the whole panel sweep. `Conv2d` packs its weight
-//! once per layer call and every batch item's GEMM reads those tiles.
-//! Pack buffers are thread-local and reused across calls, so steady-state
-//! training does not allocate per matmul.
+//! once per layer call and lowers its inputs (or packs its output
+//! gradient) straight into the panel layout, one group of batch items at
+//! a time. Pack buffers are thread-local and reused across calls, so
+//! steady-state training does not allocate per matmul.
 //!
 //! **Determinism.** Every output element accumulates its `k` products in
 //! strictly ascending contraction order through a single accumulator
@@ -35,7 +42,8 @@
 //! [`dot4`]) with a fixed combine order; its results are reproducible at
 //! any thread count but differ from the old strictly-serial dot, which is
 //! why kernel-sensitive fingerprints carry
-//! [`crate::KERNEL_NUMERICS_VERSION`].
+//! [`crate::KERNEL_NUMERICS_VERSION`]. The conv weight-gradient kernel
+//! reproduces `dot4`'s order per element and batch item exactly.
 //!
 //! **Parallelism.** Large contractions are partitioned over MR-aligned
 //! row blocks of `C` and run on the [`crate::par`] pool. The split is
@@ -44,6 +52,7 @@
 //! and a thread budget of 1 short-circuits to a zero-overhead serial call
 //! with no pool hand-off or chunk bookkeeping at all.
 
+use crate::im2col::{copy_run, PanelRuns};
 use crate::{par, Tensor};
 
 /// Microtile rows: output rows accumulated per microkernel invocation.
@@ -137,10 +146,10 @@ pub(crate) enum Epilogue<'a> {
 
 impl Epilogue<'_> {
     /// Write one accumulator row into `out` for absolute output row `row`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write(&self, row: usize, acc: &[f32], out: &mut [f32]) {
         match *self {
-            Epilogue::Store => out.copy_from_slice(acc),
+            Epilogue::Store => copy_run(out, acc),
             Epilogue::Bias(bias) => {
                 let bv = bias[row];
                 for (o, &a) in out.iter_mut().zip(acc) {
@@ -267,10 +276,40 @@ fn microkernel(ap: &[f32], bp: &[f32], k: usize, acc: &mut [[f32; NR]; MR]) {
     }
 }
 
+/// Run the microkernel over rows `first_row..first_row + rows`
+/// (`first_row` MR-aligned) and every one of `panels` B panels, handing
+/// each finished accumulator row to `write(row, panel, acc)` with `row`
+/// relative to `first_row`. `kc` is the contraction length, `apack` every
+/// A tile and `bpack` every B panel.
+#[inline(always)]
+fn for_each_tile_row(
+    apack: &[f32],
+    bpack: &[f32],
+    kc: usize,
+    rows: usize,
+    first_row: usize,
+    panels: usize,
+    mut write: impl FnMut(usize, usize, &[f32; NR]),
+) {
+    let mut r0 = 0usize;
+    while r0 < rows {
+        let h = MR.min(rows - r0);
+        let t = (first_row + r0) / MR;
+        let tile = &apack[t * kc * MR..(t + 1) * kc * MR];
+        for panel in 0..panels {
+            let mut acc = [[0.0f32; NR]; MR];
+            microkernel(tile, &bpack[panel * kc * NR..(panel + 1) * kc * NR], kc, &mut acc);
+            for (r, row) in acc[..h].iter().enumerate() {
+                write(r0 + r, panel, row);
+            }
+        }
+        r0 += h;
+    }
+}
+
 /// Compute rows `first_row..first_row+rows` (`first_row` MR-aligned) of
-/// a packed contraction into `out` (a block of whole `n`-wide rows). `kc`
-/// is the contraction length, `apack` every A tile and `bpack` every B
-/// panel. Shared by the `A·B` and `Aᵀ·B` drivers — only the A packing
+/// a packed contraction into `out` (a block of whole `n`-wide rows).
+/// Shared by the `A·B` and `Aᵀ·B` drivers — only the A packing
 /// ([`pack_a_tiles`] or [`pack_at_tiles`]) differs.
 fn gemm_packed_rows(
     apack: &[f32],
@@ -285,24 +324,37 @@ fn gemm_packed_rows(
         return;
     }
     let rows = out.len() / n;
-    let panels = n.div_ceil(NR);
-    let mut r0 = 0usize;
-    while r0 < rows {
-        let h = MR.min(rows - r0);
-        let t = (first_row + r0) / MR;
-        let tile = &apack[t * kc * MR..(t + 1) * kc * MR];
-        for panel in 0..panels {
-            let j0 = panel * NR;
-            let w = NR.min(n - j0);
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel(tile, &bpack[panel * kc * NR..(panel + 1) * kc * NR], kc, &mut acc);
-            for r in 0..h {
-                let row = r0 + r;
-                epi.write(first_row + row, &acc[r][..w], &mut out[row * n + j0..row * n + j0 + w]);
-            }
+    for_each_tile_row(apack, bpack, kc, rows, first_row, n.div_ceil(NR), |row, panel, acc| {
+        let j0 = panel * NR;
+        let w = NR.min(n - j0);
+        epi.write(first_row + row, &acc[..w], &mut out[row * n + j0..row * n + j0 + w]);
+    });
+}
+
+/// All `m` rows of `C = A·B` for one column group, serial: `a_tiles` is A
+/// packed by [`pack_a_tiles`] or [`pack_at_tiles`], `bpack` the group's
+/// B panels (contraction length `kc`), and `runs` maps each panel's
+/// lanes to `out`: row `i` of a run lands at `out[i·row_stride + run.off
+/// ..][..run.len]` through the epilogue. This is how a conv writes each
+/// batch item's output rows from one GEMM over the whole group.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_panel_runs(
+    a_tiles: &[f32],
+    bpack: &[f32],
+    kc: usize,
+    m: usize,
+    runs: &PanelRuns,
+    row_stride: usize,
+    out: &mut [f32],
+    epi: Epilogue<'_>,
+) {
+    for_each_tile_row(a_tiles, bpack, kc, m, 0, runs.panels(), |row, panel, acc| {
+        let base = row * row_stride;
+        for run in runs.panel(panel) {
+            let dst = &mut out[base + run.off..base + run.off + run.len];
+            epi.write(row, &acc[run.lane..run.lane + run.len], dst);
         }
-        r0 += h;
-    }
+    });
 }
 
 /// Run a packed contraction (`Epilogue::Store`) writing whole `n`-wide
@@ -347,35 +399,6 @@ fn matmul_rows_naive(
         }
         epi.finish_row(i, c_row);
     }
-}
-
-/// Slice-level `C[m,n] = A[m,k]·B[k,n]` with a fused write epilogue,
-/// always on the calling thread. The building block `Conv2d` uses inside
-/// its batch-parallel items: `a_tiles` is `ad` packed by [`pack_a_tiles`]
-/// (once per layer call), read unless the contraction is too small to pack.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_slices(
-    ad: &[f32],
-    a_tiles: &[f32],
-    bd: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    epi: Epilogue<'_>,
-) {
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if 2 * m * k * n < PACK_MIN_FLOPS {
-        matmul_rows_naive(ad, bd, out, 0, k, n, epi);
-        return;
-    }
-    let mut bpack = take_pack_b();
-    pack_b_panels(bd, k, n, &mut bpack);
-    gemm_packed_rows(a_tiles, &bpack, k, n, out, 0, epi);
-    put_pack_b(bpack);
 }
 
 /// `C[m,n] = A[m,k] · B[k,n]`.
@@ -433,32 +456,6 @@ fn at_b_rows_naive(
             }
         }
     }
-}
-
-/// Slice-level `C[k,n] = Aᵀ[k,m]·B[m,n]` (A stored `[m,k]`), serial;
-/// `a_tiles` is `ad` packed by [`pack_at_tiles`], read unless the
-/// contraction is too small to pack.
-pub(crate) fn gemm_at_b_slices(
-    ad: &[f32],
-    a_tiles: &[f32],
-    bd: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(out.len(), k * n);
-    if k == 0 || n == 0 {
-        return;
-    }
-    if 2 * m * k * n < PACK_MIN_FLOPS {
-        at_b_rows_naive(ad, bd, out, 0, m, k, n);
-        return;
-    }
-    let mut bpack = take_pack_b();
-    pack_b_panels(bd, m, n, &mut bpack);
-    gemm_packed_rows(a_tiles, &bpack, m, n, out, 0, Epilogue::Store);
-    put_pack_b(bpack);
 }
 
 /// `C[k,n] = Aᵀ[k,m] · B[m,n]` where `A` is `[m,k]`.
@@ -536,15 +533,6 @@ fn a_bt_rows(ad: &[f32], bd: &[f32], out: &mut [f32], first_row: usize, n: usize
     }
 }
 
-/// Slice-level `C[m,k] = A[m,n]·Bᵀ[n,k]` (B stored `[k,n]`), serial.
-pub(crate) fn gemm_a_bt_slices(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
-    debug_assert_eq!(out.len(), m * k);
-    if m == 0 || k == 0 {
-        return;
-    }
-    a_bt_rows(ad, bd, out, 0, n, k);
-}
-
 /// `C[m,k] = A[m,n] · Bᵀ[n,k]` where `B` is `[k,n]`.
 ///
 /// Inner loop is a [`dot4`] over contiguous rows of both operands, so
@@ -569,6 +557,195 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
         });
     }
     c
+}
+
+// ------------------------------------------------------------------------
+// Conv weight gradient: dW += Σ_b gout_b · cols_bᵀ
+// ------------------------------------------------------------------------
+
+/// Accumulate a convolution's weight gradient over a batch straight into
+/// `grad` (`[m, k]`): `grad[o][r] += Σ_j gout_b[o][j]·cols_b[r][j]` for
+/// items `b = 0, 1, …, n−1` in turn. `gout` is `[n, m, ohw]`; `cols` holds
+/// the lowered columns as `Conv2d`'s forward left them — groups of `group`
+/// items back to back, each `group·ohw` columns of `k` rows in NR-wide
+/// panels (the last group may be short).
+///
+/// Per element and item the sum is exactly [`dot4`]`(gout_b[o],
+/// cols_b[r])`: lane `l` is a multiply–add chain over `j = 4t + l` in
+/// ascending `t`, the lanes combine as `(l0+l1)+(l2+l3)`, and the
+/// `ohw % 4` tail adds on in ascending order. Items then fold into the
+/// element in ascending order, as a serial `+=` of per-item `A·Bᵀ`
+/// products would. What is vectorised is the *set* of elements: a tile of
+/// `V` output channels × `R` column rows runs its chains side by side,
+/// broadcasting one column value into `V` channel lanes against the
+/// output gradient transposed to `[j][channel]`. The tile shape is picked
+/// from `m` — 4×2 for at most 4 channels, else 8×1 — so narrow layers
+/// leave no lane idle; it changes no bits. Parallel tasks own disjoint
+/// runs of tiles.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_weight_grad(
+    gout: &[f32],
+    cols: &[f32],
+    n: usize,
+    m: usize,
+    k: usize,
+    ohw: usize,
+    group: usize,
+    grad: &mut [f32],
+) {
+    debug_assert_eq!(gout.len(), n * m * ohw);
+    debug_assert_eq!(grad.len(), m * k);
+    if n == 0 || m == 0 || k == 0 {
+        return;
+    }
+    if m <= 4 {
+        weight_grad_tiles::<4, 2>(gout, cols, n, m, k, ohw, group, grad);
+    } else {
+        weight_grad_tiles::<8, 1>(gout, cols, n, m, k, ohw, group, grad);
+    }
+}
+
+/// Read-only operands of one weight-gradient call, shared by every task.
+struct WeightGrad<'a> {
+    /// `gout` transposed per item and channel block: `gt[((b·blocks +
+    /// blk)·ohw + j)·V + v] = gout_b[blk·V + v][j]`, zero past `m`.
+    gt: &'a [f32],
+    cols: &'a [f32],
+    /// Offset of column `j` of the `g`-th item of a group within the
+    /// group's panels (row 0): `coff[g·ohw + j]`.
+    coff: &'a [usize],
+    n: usize,
+    blocks: usize,
+    ohw: usize,
+    group: usize,
+    /// Floats per full group of `cols`.
+    group_len: usize,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn weight_grad_tiles<const V: usize, const R: usize>(
+    gout: &[f32],
+    cols: &[f32],
+    n: usize,
+    m: usize,
+    k: usize,
+    ohw: usize,
+    group: usize,
+    grad: &mut [f32],
+) {
+    let blocks = m.div_ceil(V);
+    let mut gt = vec![0.0f32; n * blocks * ohw * V];
+    for (b, item) in gout.chunks_exact(m * ohw).enumerate() {
+        for (o, row) in item.chunks_exact(ohw).enumerate() {
+            let dst = &mut gt[(b * blocks + o / V) * ohw * V..][..ohw * V];
+            for (lanes, &x) in dst.chunks_exact_mut(V).zip(row) {
+                lanes[o % V] = x;
+            }
+        }
+    }
+    let coff: Vec<usize> = (0..group.min(n) * ohw).map(|c| c / NR * k * NR + c % NR).collect();
+    // The gradient so far, in tile order: `acc[(blk·k + r)·V + v]` is
+    // `grad[blk·V + v][r]`. Tasks own disjoint runs of its rows.
+    let mut acc = vec![0.0f32; blocks * k * V];
+    for (o, row) in grad.chunks_exact(k).enumerate() {
+        for (r, &x) in row.iter().enumerate() {
+            acc[((o / V) * k + r) * V + o % V] = x;
+        }
+    }
+    let p = WeightGrad {
+        gt: &gt,
+        cols,
+        coff: &coff,
+        n,
+        blocks,
+        ohw,
+        group,
+        group_len: group * ohw * k,
+    };
+    let rows = blocks * k;
+    let tasks = row_tasks(rows, R, 2 * n * m * k * ohw, TASK_FLOPS_A_BT, par::current_threads());
+    let chunk = rows.div_ceil(tasks).next_multiple_of(R);
+    par::par_chunks_mut(&mut acc, chunk * V, |ci, dst| {
+        let first = ci * chunk;
+        let end = first + dst.len() / V;
+        let mut row = first;
+        while row < end {
+            let (blk, r) = (row / k, row % k);
+            let out = &mut dst[(row - first) * V..];
+            // A tile never straddles a channel block; short ones go row
+            // by row.
+            if R.min(end - row).min(k - r) == R {
+                weight_grad_tile::<V, R>(&p, blk, r, &mut out[..R * V]);
+                row += R;
+            } else {
+                weight_grad_tile::<V, 1>(&p, blk, r, &mut out[..V]);
+                row += 1;
+            }
+        }
+    });
+    for (o, row) in grad.chunks_exact_mut(k).enumerate() {
+        for (r, x) in row.iter_mut().enumerate() {
+            *x = acc[((o / V) * k + r) * V + o % V];
+        }
+    }
+}
+
+/// One tile: channel block `blk` × column rows `r..r + R`, accumulated
+/// over every item into `out` (`[R][V]`, holding the gradient so far).
+#[inline(always)]
+fn weight_grad_tile<const V: usize, const R: usize>(
+    p: &WeightGrad<'_>,
+    blk: usize,
+    r: usize,
+    out: &mut [f32],
+) {
+    let mut sum = [[0.0f32; V]; R];
+    for (s, o) in sum.iter_mut().zip(out.chunks_exact(V)) {
+        s.copy_from_slice(o);
+    }
+    let ohw = p.ohw;
+    let split = ohw / 4 * 4;
+    let item_gt = p.blocks * ohw * V;
+    let mut gt_at = blk * ohw * V;
+    let mut left = p.n;
+    // Items in ascending order, walked group by group.
+    for group in p.cols.chunks(p.group_len) {
+        let cols = &group[r * NR..];
+        for coff in p.coff.chunks_exact(ohw).take(left) {
+            let gt = &p.gt[gt_at..gt_at + ohw * V];
+            gt_at += item_gt;
+            let mut lanes = [[[0.0f32; V]; 4]; R];
+            for (g4, c4) in gt[..split * V].chunks_exact(4 * V).zip(coff[..split].chunks_exact(4)) {
+                for (rr, lanes) in lanes.iter_mut().enumerate() {
+                    for ((lane, gv), &c) in lanes.iter_mut().zip(g4.chunks_exact(V)).zip(c4) {
+                        let cv = cols[c + rr * NR];
+                        for (a, &g) in lane.iter_mut().zip(gv) {
+                            *a += cv * g;
+                        }
+                    }
+                }
+            }
+            for (rr, (s, l)) in sum.iter_mut().zip(&lanes).enumerate() {
+                let mut dot = [0.0f32; V];
+                for (v, d) in dot.iter_mut().enumerate() {
+                    *d = (l[0][v] + l[1][v]) + (l[2][v] + l[3][v]);
+                }
+                for (gv, &c) in gt[split * V..].chunks_exact(V).zip(&coff[split..]) {
+                    let cv = cols[c + rr * NR];
+                    for (d, &g) in dot.iter_mut().zip(gv) {
+                        *d += cv * g;
+                    }
+                }
+                for (s, d) in s.iter_mut().zip(dot) {
+                    *s += d;
+                }
+            }
+        }
+        left -= left.min(p.group);
+    }
+    for (o, s) in out.chunks_exact_mut(V).zip(&sum) {
+        o.copy_from_slice(s);
+    }
 }
 
 #[cfg(test)]
@@ -671,6 +848,17 @@ mod tests {
         }
     }
 
+    /// Packed `C = A·B` over whole panels, serial, through `epi`.
+    fn packed_ab(a: &Tensor, b: &Tensor, epi: Epilogue<'_>) -> Vec<f32> {
+        let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+        let (mut tiles, mut panels) = (Vec::new(), Vec::new());
+        pack_a_tiles(a.data(), m, k, &mut tiles);
+        pack_b_panels(b.data(), k, n, &mut panels);
+        let mut out = vec![0.0f32; m * n];
+        gemm_packed_rows(&tiles, &panels, k, n, &mut out, 0, epi);
+        out
+    }
+
     /// The packed path and the small-size fallback accumulate in the same
     /// order, so forcing either path must give identical bits.
     #[test]
@@ -680,17 +868,16 @@ mod tests {
         let (m, k, n) = (13, 29, 21);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let mut tiles = Vec::new();
-        pack_a_tiles(a.data(), m, k, &mut tiles);
-        let mut packed = vec![0.0f32; m * n];
-        gemm_slices(a.data(), &tiles, b.data(), &mut packed, m, k, n, Epilogue::Store);
+        let packed = packed_ab(&a, &b, Epilogue::Store);
         let mut naive_out = vec![0.0f32; m * n];
         matmul_rows_naive(a.data(), b.data(), &mut naive_out, 0, k, n, Epilogue::Store);
         assert_eq!(packed, naive_out, "matmul paths diverge");
         let at = Tensor::randn(&[k, m], 1.0, &mut rng);
+        let (mut tiles, mut panels) = (Vec::new(), Vec::new());
         pack_at_tiles(at.data(), k, m, &mut tiles);
+        pack_b_panels(b.data(), k, n, &mut panels);
         let mut packed_t = vec![0.0f32; m * n];
-        gemm_at_b_slices(at.data(), &tiles, b.data(), &mut packed_t, k, m, n);
+        gemm_packed_rows(&tiles, &panels, k, n, &mut packed_t, 0, Epilogue::Store);
         let mut naive_t = vec![0.0f32; m * n];
         at_b_rows_naive(at.data(), b.data(), &mut naive_t, 0, k, m, n);
         assert_eq!(packed_t, naive_t, "at_b paths diverge");
@@ -721,11 +908,8 @@ mod tests {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let base = matmul(&a, &b);
-        let mut tiles = Vec::new();
-        pack_a_tiles(a.data(), m, k, &mut tiles);
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 1.0).collect();
-        let mut with_bias = vec![0.0f32; m * n];
-        gemm_slices(a.data(), &tiles, b.data(), &mut with_bias, m, k, n, Epilogue::Bias(&bias));
+        let with_bias = packed_ab(&a, &b, Epilogue::Bias(&bias));
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(with_bias[i * n + j], base.data()[i * n + j] + bias[i]);
@@ -733,17 +917,8 @@ mod tests {
         }
         let scale: Vec<f32> = (0..m).map(|i| 0.3 + i as f32 * 0.1).collect();
         let shift: Vec<f32> = (0..m).map(|i| -0.2 + i as f32 * 0.05).collect();
-        let mut fused = vec![0.0f32; m * n];
-        gemm_slices(
-            a.data(),
-            &tiles,
-            b.data(),
-            &mut fused,
-            m,
-            k,
-            n,
-            Epilogue::ScaleShift { scale: &scale, shift: &shift, relu: true },
-        );
+        let fused =
+            packed_ab(&a, &b, Epilogue::ScaleShift { scale: &scale, shift: &shift, relu: true });
         for i in 0..m {
             for j in 0..n {
                 let expect = (scale[i] * base.data()[i * n + j] + shift[i]).max(0.0);

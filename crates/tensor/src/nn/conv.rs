@@ -1,16 +1,87 @@
-use crate::im2col::{col2im_into, im2col_into, ConvGeom};
-use crate::matmul::{
-    gemm_a_bt_slices, gemm_at_b_slices, gemm_slices, pack_a_tiles, pack_at_tiles, Epilogue,
-};
+use crate::im2col::{col2im_into, fill_panels, lower_group, ConvGeom, PanelRuns};
+use crate::matmul::{conv_weight_grad, gemm_panel_runs, pack_a_tiles, pack_at_tiles, Epilogue, NR};
 use crate::nn::Layer;
 use crate::optim::Param;
 use crate::{init, par, Rng, Tensor};
 use std::cell::Cell;
 
 thread_local! {
-    /// Reusable per-thread column-gradient buffer for one backward item
-    /// (taken, not borrowed, so a re-entrant call allocates afresh).
+    /// Reusable per-thread B panels of one group's output gradient.
+    static GOUT_PANELS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Reusable per-thread column gradients of one group (taken, not
+    /// borrowed, so a re-entrant call allocates afresh).
     static GCOLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Fewest batch items whose `ohw` columns each fill whole NR-wide panels
+/// and number at least 64: 1 item at 8×8, 4 at 4×4, 16 at 2×2, 64 at
+/// 1×1. One GEMM runs per group, so small spatial sizes still feed the
+/// microkernel full panels; the shape alone fixes the size.
+fn group_items(ohw: usize) -> usize {
+    let fill = NR / gcd(ohw, NR);
+    fill * 64usize.div_ceil(fill * ohw)
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// The first `len` floats of a reused buffer, grown as needed but never
+/// shrunk or re-zeroed: every caller overwrites all of them, and keeping
+/// the longest length spares a `memset` when batch sizes alternate.
+fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// How one call splits `n` batch items into column groups, and the panel
+/// maps of a full and of the (possibly short) last group.
+struct Groups {
+    /// Items per full group.
+    items: usize,
+    /// Items in the last group.
+    last: usize,
+    /// Panel map of a full group's and of the last group's columns, for
+    /// item-major `[items][rows][ohw]` tensors with `item_stride` floats
+    /// per item (conv outputs, output gradients, column gradients).
+    full: PanelRuns,
+    tail: PanelRuns,
+}
+
+impl Groups {
+    fn new(n: usize, ohw: usize, item_stride: usize) -> Self {
+        let items = group_items(ohw);
+        let last = n - n.saturating_sub(1) / items * items;
+        Groups {
+            items,
+            last,
+            full: PanelRuns::new(items, 1, ohw, item_stride, 0, 1),
+            tail: PanelRuns::new(last, 1, ohw, item_stride, 0, 1),
+        }
+    }
+
+    /// Panel map of a group of `items` items.
+    fn runs(&self, items: usize) -> &PanelRuns {
+        if items == self.items {
+            &self.full
+        } else {
+            &self.tail
+        }
+    }
+
+    /// Floats of one full group's panels over `k` rows (its columns fill
+    /// whole panels), and of all `n` items' groups back to back.
+    fn panels_len(&self, n: usize, k: usize) -> (usize, usize) {
+        let full = self.full.panels() * k * NR;
+        let count = n.div_ceil(self.items);
+        (full, count.saturating_sub(1) * full + self.tail.panels() * k * NR)
+    }
 }
 
 /// 2-D convolution over NCHW input.
@@ -19,7 +90,6 @@ thread_local! {
 /// exact shape that filter pruning (row removal), channel pruning (column
 /// group removal) and low-rank factorisation (SVD of this matrix) operate
 /// on, so compression methods edit it without reshaping gymnastics.
-#[derive(Clone)]
 pub struct Conv2d {
     /// Matricised kernel `[out_c, in_c·kh·kw]`.
     pub weight: Tensor,
@@ -35,11 +105,34 @@ pub struct Conv2d {
     kw: usize,
     stride: usize,
     pad: usize,
-    /// Flat im2col column buffer from the last forward (`n` slabs of
-    /// `col_rows·oh·ow`), reused across training steps so steady-state
-    /// forward/backward passes do not allocate.
+    /// Lowered columns from the last forward, as B panels of consecutive
+    /// item groups (see [`group_items`]), reused across training steps so
+    /// steady-state forward/backward passes do not allocate.
     cols_buf: Vec<f32>,
     cached_in_dims: [usize; 4],
+}
+
+/// Copies the parameters and accumulated gradients; the clone starts with
+/// no column scratch and no cached input shape, like a fresh layer, so
+/// copying a network after a forward pass does not copy megabytes of
+/// columns.
+impl Clone for Conv2d {
+    fn clone(&self) -> Self {
+        Conv2d {
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            grad_weight: self.grad_weight.clone(),
+            grad_bias: self.grad_bias.clone(),
+            in_c: self.in_c,
+            out_c: self.out_c,
+            kh: self.kh,
+            kw: self.kw,
+            stride: self.stride,
+            pad: self.pad,
+            cols_buf: Vec::new(),
+            cached_in_dims: [0; 4],
+        }
+    }
 }
 
 impl Conv2d {
@@ -209,29 +302,25 @@ impl Conv2d {
         self.forward_with(x, Some((scale, shift, relu)))
     }
 
-    /// Shared forward driver: lower each batch item with im2col into its
-    /// slab of the reused flat column buffer, then one GEMM per item with
-    /// the requested write epilogue. Batch items are independent tasks
-    /// writing disjoint output and column slabs, with identical per-item
-    /// math at any thread count.
+    /// Shared forward driver. Consecutive batch items form column groups
+    /// ([`group_items`]); each group is lowered straight into GEMM B panels
+    /// in its slab of the reused column buffer, then one GEMM per group
+    /// writes every item's output rows through the requested epilogue.
+    /// Groups are independent tasks writing disjoint output and column
+    /// slabs; each output element is the same ascending-order sum as a
+    /// per-item GEMM, at any thread count.
     fn forward_with(&mut self, x: &Tensor, fused: Option<(&[f32], &[f32], bool)>) -> Tensor {
         let d = x.dims();
         debug_assert_eq!(d.len(), 4, "conv input must be NCHW");
         debug_assert_eq!(d[1], self.in_c, "conv: channel mismatch");
         let (n, in_h, in_w) = (d[0], d[2], d[3]);
         let g = self.geom(in_h, in_w);
-        let (oh, ow) = (g.out_h(), g.out_w());
+        let (out_c, ohw) = (self.out_c, g.out_h() * g.out_w());
         let col_rows = self.in_c * self.kh * self.kw;
-        let col_len = col_rows * oh * ow;
         self.cached_in_dims = [n, self.in_c, in_h, in_w];
-        let mut out = Tensor::zeros(&[n, self.out_c, oh, ow]);
+        let mut out = Tensor::zeros(&[n, out_c, g.out_h(), g.out_w()]);
         let item = self.in_c * in_h * in_w;
-        let out_item = self.out_c * oh * ow;
-        // Reused across steps: resize keeps capacity once shapes settle.
-        self.cols_buf.resize(n * col_len, 0.0);
-        if n == 0 {
-            return out;
-        }
+        let out_item = out_c * ohw;
         // Fold the conv bias into the batch-norm shift so the epilogue
         // stays a single scale/shift per output channel.
         let shift_eff: Vec<f32> = match (fused, &self.bias) {
@@ -251,38 +340,35 @@ impl Conv2d {
             (None, Some(b)) => Epilogue::Bias(b.data()),
             (None, None) => Epilogue::Store,
         };
-        let xd = x.data();
-        if out_item == 0 || col_len == 0 {
-            // Degenerate shapes: no GEMM to run. Lower the input anyway
-            // (backward still reads the columns) and finish the zero
-            // output rows through the epilogue (bias / shift broadcast).
-            for b in 0..n {
-                im2col_into(
-                    &xd[b * item..(b + 1) * item],
-                    g,
-                    &mut self.cols_buf[b * col_len..(b + 1) * col_len],
-                );
-                let od = out.data_mut();
-                for c in 0..self.out_c {
-                    let base = b * out_item + c * oh * ow;
-                    epi.finish_row(c, &mut od[base..base + oh * ow]);
-                }
+        if n == 0 || out_item == 0 || col_rows == 0 {
+            // Nothing to contract: finish the zero output rows through the
+            // epilogue (bias / shift broadcast). Backward needs no columns.
+            self.cols_buf.clear();
+            for (c, row) in out.data_mut().chunks_exact_mut(ohw.max(1)).enumerate() {
+                epi.finish_row(c % out_c.max(1), row);
             }
             return out;
         }
-        let weight = self.weight.data();
-        let (out_c, ohw) = (self.out_c, oh * ow);
-        // Every item multiplies the same weight: pack it once per call.
+        let groups = Groups::new(n, ohw, out_item);
+        let (group_len, cols_len) = groups.panels_len(n, col_rows);
+        let (full_in, tail_in) = (g.lowering_runs(groups.items), g.lowering_runs(groups.last));
+        let rows = g.lowering_rows();
+        let xd = x.data();
+        // Every group multiplies the same weight: pack it once per call.
         let mut w_tiles = Vec::new();
-        pack_a_tiles(weight, out_c, col_rows, &mut w_tiles);
+        pack_a_tiles(self.weight.data(), out_c, col_rows, &mut w_tiles);
         par::par_chunks_mut2(
             out.data_mut(),
-            out_item,
-            &mut self.cols_buf,
-            col_len,
-            |b, dst, cols| {
-                im2col_into(&xd[b * item..(b + 1) * item], g, cols);
-                gemm_slices(weight, &w_tiles, cols, dst, out_c, col_rows, ohw, epi);
+            groups.items * out_item,
+            scratch(&mut self.cols_buf, cols_len),
+            group_len,
+            |q, dst, cols| {
+                let items = dst.len() / out_item;
+                let lowering = if items == groups.items { &full_in } else { &tail_in };
+                let x_group = &xd[q * groups.items * item..][..items * item];
+                lower_group(x_group, g, items, lowering, &rows, cols);
+                let runs = groups.runs(items);
+                gemm_panel_runs(&w_tiles, cols, col_rows, out_c, runs, ohw, dst, epi);
             },
         );
         out
@@ -298,69 +384,73 @@ impl Layer for Conv2d {
         let [n, in_c, in_h, in_w] = self.cached_in_dims;
         debug_assert!(n > 0, "Conv2d::backward before forward");
         let g = self.geom(in_h, in_w);
-        let (oh, ow) = (g.out_h(), g.out_w());
-        debug_assert_eq!(grad_out.dims(), &[n, self.out_c, oh, ow]);
+        let ohw = g.out_h() * g.out_w();
+        debug_assert_eq!(grad_out.dims(), &[n, self.out_c, g.out_h(), g.out_w()]);
         let col_rows = in_c * self.kh * self.kw;
-        let col_len = col_rows * oh * ow;
         let mut grad_in = Tensor::zeros(&[n, in_c, in_h, in_w]);
-        let out_item = self.out_c * oh * ow;
+        let out_c = self.out_c;
+        let out_item = out_c * ohw;
         let in_item = in_c * in_h * in_w;
-        // Per-item contributions in parallel: each task reads its slab of
-        // the retained column buffer, scatters into its disjoint grad_in
-        // chunk, and writes its (dW, db) terms into its own contribution
-        // slab. Folding the slabs serially in ascending batch order
-        // reproduces the serial accumulation bitwise. The GEMMs run
-        // serially inside each task — batch-level parallelism is already
-        // in effect.
-        let weight = self.weight.data();
-        let cols_buf = &self.cols_buf;
         let god = grad_out.data();
-        let (out_c, ohw) = (self.out_c, oh * ow);
-        let gw_len = out_c * col_rows;
-        let gb_len = if self.bias.is_some() { out_c } else { 0 };
-        let slab = (gw_len + gb_len).max(1);
-        let mut contribs = vec![0.0f32; n * slab];
-        let mut wt_tiles = Vec::new();
-        pack_at_tiles(weight, out_c, col_rows, &mut wt_tiles);
-        par::par_chunks_mut2(
-            grad_in.data_mut(),
-            in_item,
-            &mut contribs,
-            slab,
-            |b, gi_chunk, terms| {
-                let gout = &god[b * out_item..(b + 1) * out_item];
-                let cols = &cols_buf[b * col_len..(b + 1) * col_len];
-                let (gw, gb) = terms.split_at_mut(gw_len);
-                // dW_b = gout · colsᵀ
-                gemm_a_bt_slices(gout, cols, gw, out_c, ohw, col_rows);
-                for (c, v) in gb[..gb_len].iter_mut().enumerate() {
-                    *v = gout[c * ohw..(c + 1) * ohw].iter().sum();
+        // db[c] += Σ_j gout_b[c][j], items in ascending order.
+        if self.bias.is_some() {
+            for item in god.chunks_exact(out_item.max(1)) {
+                for (d, row) in self.grad_bias.data_mut().iter_mut().zip(item.chunks_exact(ohw)) {
+                    *d += row.iter().sum::<f32>();
                 }
-                // d cols = Wᵀ · gout, then scatter back to image space. A
-                // pointwise conv's scatter is the identity (`0.0 + v`, and a
-                // GEMM sum starting from +0.0 is never -0.0), so its GEMM
-                // writes the input gradient directly.
-                if g.is_pointwise() {
-                    gemm_at_b_slices(weight, &wt_tiles, gout, gi_chunk, out_c, col_rows, ohw);
-                } else {
-                    let mut gcols = GCOLS.with(Cell::take);
-                    gcols.clear();
-                    gcols.resize(col_len, 0.0);
-                    gemm_at_b_slices(weight, &wt_tiles, gout, &mut gcols, out_c, col_rows, ohw);
-                    col2im_into(&gcols, g, gi_chunk);
-                    GCOLS.with(|c| c.set(gcols));
-                }
-            },
-        );
-        for terms in contribs.chunks_exact(slab) {
-            let (gw, gb) = terms.split_at(gw_len);
-            for (d, s) in self.grad_weight.data_mut().iter_mut().zip(gw) {
-                *d += s;
-            }
-            for (d, s) in self.grad_bias.data_mut().iter_mut().zip(&gb[..gb_len]) {
-                *d += s;
             }
         }
+        if n == 0 || out_item == 0 || col_rows == 0 {
+            return grad_in;
+        }
+        let groups = Groups::new(n, ohw, out_item);
+        let (_, cols_len) = groups.panels_len(n, col_rows);
+        // dW += Σ_b gout_b · cols_bᵀ, read from the forward's panels.
+        conv_weight_grad(
+            god,
+            &self.cols_buf[..cols_len],
+            n,
+            out_c,
+            col_rows,
+            ohw,
+            groups.items,
+            self.grad_weight.data_mut(),
+        );
+        // d cols = Wᵀ · gout as one GEMM per group over the group's output
+        // gradient packed as B panels, then scattered back to image space
+        // item by item. A pointwise conv's scatter is the identity (`0.0 +
+        // v`, and a GEMM sum starting from +0.0 is never -0.0), so its
+        // GEMM writes the input gradient directly.
+        let gcols_groups = Groups::new(n, ohw, col_rows * ohw);
+        let out_rows: Vec<usize> = (0..out_c).map(|o| o * ohw).collect();
+        let mut wt_tiles = Vec::new();
+        pack_at_tiles(self.weight.data(), out_c, col_rows, &mut wt_tiles);
+        par::par_chunks_mut(grad_in.data_mut(), groups.items * in_item, |q, gi| {
+            let items = gi.len() / in_item;
+            let gout = &god[q * groups.items * out_item..][..items * out_item];
+            let runs = groups.runs(items);
+            let mut panels_buf = GOUT_PANELS.with(Cell::take);
+            let panels = scratch(&mut panels_buf, runs.panels() * out_c * NR);
+            fill_panels(gout, runs, &out_rows, 1, panels);
+            let gruns = gcols_groups.runs(items);
+            let gemm = |dst: &mut [f32]| {
+                let store = Epilogue::Store;
+                gemm_panel_runs(&wt_tiles, panels, out_c, col_rows, gruns, ohw, dst, store)
+            };
+            if g.is_pointwise() {
+                gemm(gi);
+            } else {
+                let mut gcols_buf = GCOLS.with(Cell::take);
+                let gcols = scratch(&mut gcols_buf, items * col_rows * ohw);
+                gemm(gcols);
+                for (c, img) in gcols.chunks_exact(col_rows * ohw).zip(gi.chunks_exact_mut(in_item))
+                {
+                    col2im_into(c, g, img);
+                }
+                GCOLS.with(|c| c.set(gcols_buf));
+            }
+            GOUT_PANELS.with(|c| c.set(panels_buf));
+        });
         grad_in
     }
 
@@ -384,8 +474,9 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::im2col_into;
     use crate::nn::gradcheck;
-    use crate::rng_from_seed;
+    use crate::{matmul, matmul_a_bt, matmul_at_b, rng_from_seed};
 
     #[test]
     fn output_shape_stride_and_pad() {
@@ -440,17 +531,204 @@ mod tests {
         let gin = c.backward(&gout);
         let (g, item, out_item) = (c.geom(4, 5), 6 * 20, 5 * 20);
         assert!(g.is_pointwise());
-        let mut tiles = Vec::new();
-        pack_at_tiles(c.weight.data(), 5, 6, &mut tiles);
         for b in 0..3 {
-            let gout_b = &gout.data()[b * out_item..(b + 1) * out_item];
-            let mut gcols = vec![0.0f32; item];
-            gemm_at_b_slices(c.weight.data(), &tiles, gout_b, &mut gcols, 5, 6, 20);
+            let gout_b = Tensor::from_slice(&[5, 20], &gout.data()[b * out_item..][..out_item]);
+            let gcols = matmul_at_b(&c.weight, &gout_b);
             let mut want = vec![0.0f32; item];
-            col2im_into(&gcols, g, &mut want);
+            col2im_into(gcols.data(), g, &mut want);
             let got = &gin.data()[b * item..(b + 1) * item];
             assert!(got.iter().zip(&want).all(|(a, w)| a.to_bits() == w.to_bits()), "item {b}");
         }
+    }
+
+    /// The conv as it ran before column groups, kept as the bit-identity
+    /// oracle: per batch item, `im2col_into`, one GEMM for the output
+    /// (epilogue applied to the stored sums), `a_bt_rows` (through
+    /// `matmul_a_bt`) for the weight term and `Aᵀ·B` plus `col2im` for the
+    /// input gradient; the per-item `(dW, db)` terms fold into the
+    /// gradients in ascending batch order. Returns `(y, grad_in)` and
+    /// leaves the folded gradients in `conv`.
+    fn per_item_reference(
+        conv: &mut Conv2d,
+        x: &Tensor,
+        gout_values: &[f32],
+        fused: Option<(&[f32], &[f32], bool)>,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let [n, in_c, in_h, in_w] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
+        let g = conv.geom(in_h, in_w);
+        let (out_c, ohw, k) = (conv.out_c, g.out_h() * g.out_w(), in_c * conv.kh * conv.kw);
+        let (item, out_item) = (in_c * in_h * in_w, out_c * ohw);
+        let bias = conv.bias.as_ref().map(|b| b.data().to_vec());
+        let (mut y, mut gin) = (vec![0.0f32; n * out_item], vec![0.0f32; n * item]);
+        let gw_len = out_c * k;
+        let slab = gw_len + out_c;
+        let mut contribs = vec![0.0f32; n * slab];
+        for b in 0..n {
+            let mut cols = Tensor::zeros(&[k, ohw]);
+            im2col_into(&x.data()[b * item..][..item], g, cols.data_mut());
+            let sums = matmul(&conv.weight, &cols);
+            for o in 0..out_c {
+                for j in 0..ohw {
+                    let v = sums.data()[o * ohw + j];
+                    y[b * out_item + o * ohw + j] = match (fused, &bias) {
+                        (Some((scale, shift, relu)), bias) => {
+                            let t =
+                                bias.as_ref().map_or(shift[o], |bv| shift[o] + scale[o] * bv[o]);
+                            let v = scale[o] * v + t;
+                            if relu {
+                                v.max(0.0)
+                            } else {
+                                v
+                            }
+                        }
+                        (None, Some(bv)) => v + bv[o],
+                        (None, None) => v,
+                    };
+                }
+            }
+            let gout_b =
+                Tensor::from_slice(&[out_c, ohw], &gout_values[b * out_item..][..out_item]);
+            let terms = &mut contribs[b * slab..(b + 1) * slab];
+            terms[..gw_len].copy_from_slice(matmul_a_bt(&gout_b, &cols).data());
+            for (o, v) in terms[gw_len..].iter_mut().enumerate() {
+                *v = gout_b.row(o).iter().sum();
+            }
+            let gcols = matmul_at_b(&conv.weight, &gout_b);
+            col2im_into(gcols.data(), g, &mut gin[b * item..][..item]);
+        }
+        for terms in contribs.chunks_exact(slab) {
+            for (d, s) in conv.grad_weight.data_mut().iter_mut().zip(&terms[..gw_len]) {
+                *d += s;
+            }
+            for (d, s) in conv.grad_bias.data_mut().iter_mut().zip(&terms[gw_len..]) {
+                *d += s;
+            }
+        }
+        (y, gin)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Random values with signed zeros mixed in.
+    fn awkward(dims: &[usize], rng: &mut Rng) -> Tensor {
+        let mut t = Tensor::randn(dims, 1.0, rng);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 11 {
+                3 => *v = -0.0,
+                7 => *v = 0.0,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// Grouped lowering, the panel GEMMs and the weight-gradient kernel
+    /// reproduce the per-item path bit for bit: output, input gradient and
+    /// accumulated weight and bias gradients, for plain, bias and fused
+    /// BN(±ReLU) outputs; kernel 1/3 × stride 1/2 × pad 0/1 on 1×1 …
+    /// 12×12 inputs (outputs narrower than a panel, `ohw % 4 ≠ 0`),
+    /// 1–17 output channels, batches 1/3/5/32 (short last groups) and
+    /// 1, 2 and 3 threads.
+    #[test]
+    fn grouped_conv_is_bit_identical_to_the_per_item_path() {
+        let mut rng = rng_from_seed(59);
+        let mut case = 0usize;
+        for k in [1usize, 3] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1] {
+                    for size in (1..=12usize).chain([13]) {
+                        // 13 stands for a non-square 12×7 input.
+                        let (in_h, in_w) = if size == 13 { (12, 7) } else { (size, size) };
+                        if in_h + 2 * pad < k || in_w + 2 * pad < k {
+                            continue;
+                        }
+                        for n in [1usize, 3, 5, 32] {
+                            case += 1;
+                            let out_c = 1 + case % 17;
+                            let in_c = 1 + case % 3;
+                            let threads = 1 + case % 3;
+                            let mode = case % 4;
+                            // Modes: plain, bias, fused BN, fused BN + ReLU
+                            // over a conv bias.
+                            let mut conv =
+                                Conv2d::new(in_c, out_c, k, k, stride, pad, false, &mut rng);
+                            if mode % 2 == 1 {
+                                conv.bias = Some(Tensor::randn(&[out_c], 1.0, &mut rng));
+                                conv.reset_grads();
+                            }
+                            conv.grad_weight = Tensor::randn(conv.weight.dims(), 1.0, &mut rng);
+                            conv.grad_bias = Tensor::randn(conv.grad_bias.dims(), 1.0, &mut rng);
+                            let scale: Vec<f32> =
+                                Tensor::randn(&[out_c], 1.0, &mut rng).data().to_vec();
+                            let shift: Vec<f32> =
+                                Tensor::randn(&[out_c], 1.0, &mut rng).data().to_vec();
+                            let fused = (mode >= 2).then_some((&scale[..], &shift[..], mode == 3));
+                            let x = awkward(&[n, in_c, in_h, in_w], &mut rng);
+                            let g = conv.geom(in_h, in_w);
+                            let gout = awkward(&[n, out_c, g.out_h(), g.out_w()], &mut rng);
+                            let mut oracle = conv.clone();
+                            let (want_y, want_gin) =
+                                per_item_reference(&mut oracle, &x, gout.data(), fused);
+                            let (y, gin) = par::with_threads(threads, || {
+                                let y = match fused {
+                                    Some((s, t, relu)) => conv.forward_fused_bn(&x, s, t, relu),
+                                    None => conv.forward(&x, true),
+                                };
+                                (y, conv.backward(&gout))
+                            });
+                            let what = format!(
+                                "k{k} s{stride} p{pad} {in_h}x{in_w} in{in_c} out{out_c} n{n} \
+                                 t{threads} mode{mode}"
+                            );
+                            assert_eq!(bits(y.data()), bits(&want_y), "output {what}");
+                            assert_eq!(bits(gin.data()), bits(&want_gin), "grad_in {what}");
+                            assert_eq!(
+                                bits(conv.grad_weight.data()),
+                                bits(oracle.grad_weight.data()),
+                                "grad_weight {what}"
+                            );
+                            assert_eq!(
+                                bits(conv.grad_bias.data()),
+                                bits(oracle.grad_bias.data()),
+                                "grad_bias {what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(case > 300, "only {case} cases checked");
+    }
+
+    /// A clone starts without the column scratch, and trains and evaluates
+    /// bit-identically to the layer it was cloned from.
+    #[test]
+    fn clone_drops_scratch_and_trains_identically() {
+        let mut rng = rng_from_seed(60);
+        let mut a = Conv2d::new(3, 5, 3, 3, 1, 1, true, &mut rng);
+        let x = Tensor::randn(&[4, 3, 6, 6], 1.0, &mut rng);
+        a.forward(&x, false);
+        assert!(!a.cols_buf.is_empty());
+        let mut b = a.clone();
+        assert!(b.cols_buf.is_empty() && b.cached_in_dims == [0; 4]);
+        for step in 0..3 {
+            let (ya, yb) = (a.forward(&x, true), b.forward(&x, true));
+            assert_eq!(bits(ya.data()), bits(yb.data()), "train forward, step {step}");
+            let gout = Tensor::randn(ya.dims(), 1.0, &mut rng);
+            let (ga, gb) = (a.backward(&gout), b.backward(&gout));
+            assert_eq!(bits(ga.data()), bits(gb.data()), "grad_in, step {step}");
+            for layer in [&mut a, &mut b] {
+                for p in layer.params_mut() {
+                    for (v, g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+                        *v -= 0.1 * g;
+                    }
+                }
+            }
+        }
+        assert_eq!(bits(a.weight.data()), bits(b.weight.data()));
+        assert_eq!(bits(a.forward(&x, false).data()), bits(b.forward(&x, false).data()));
     }
 
     #[test]

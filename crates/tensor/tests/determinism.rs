@@ -126,24 +126,33 @@ fn matmul_kernels_bitwise_identical_at_any_thread_count() {
     }
 }
 
+/// Forward output, input gradient and the accumulated weight and bias
+/// gradients of a conv layer, at every thread count. The second shape has
+/// 2×2 outputs (16 items per column group) and a batch of 37, so the last
+/// group is short, and enough work to split its weight gradient.
 #[test]
 fn conv_forward_backward_bitwise_identical_at_any_thread_count() {
-    let run = |threads: usize| {
-        with_threads(threads, || {
-            let mut rng = rng_from_seed(0xD2);
-            let mut conv = Conv2d::new(3, 8, 3, 3, 1, 1, true, &mut rng);
-            let x = Tensor::randn(&[6, 3, 10, 10], 1.0, &mut rng);
-            let y = conv.forward(&x, true);
-            let g = Tensor::randn(y.dims(), 1.0, &mut rng);
-            let gx = conv.backward(&g);
-            (y, gx)
-        })
-    };
-    let (y1, gx1) = run(1);
-    for threads in THREAD_COUNTS {
-        let (y, gx) = run(threads);
-        assert_eq!(y1.data(), y.data(), "conv forward at {threads} threads");
-        assert_eq!(gx1.data(), gx.data(), "conv backward at {threads} threads");
+    for (in_c, out_c, hw, batch) in [(3usize, 8usize, 10usize, 6usize), (16, 17, 2, 37)] {
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let mut rng = rng_from_seed(0xD2);
+                let mut conv = Conv2d::new(in_c, out_c, 3, 3, 1, 1, true, &mut rng);
+                let x = Tensor::randn(&[batch, in_c, hw, hw], 1.0, &mut rng);
+                let y = conv.forward(&x, true);
+                let g = Tensor::randn(y.dims(), 1.0, &mut rng);
+                let gx = conv.backward(&g);
+                (y, gx, conv.grad_weight.clone(), conv.grad_bias.clone())
+            })
+        };
+        let (y1, gx1, gw1, gb1) = run(1);
+        for threads in THREAD_COUNTS {
+            let (y, gx, gw, gb) = run(threads);
+            let what = format!("{in_c}->{out_c} on {hw}x{hw}, batch {batch}, {threads} threads");
+            assert_eq!(y1.data(), y.data(), "conv forward, {what}");
+            assert_eq!(gx1.data(), gx.data(), "conv input gradient, {what}");
+            assert_eq!(gw1.data(), gw.data(), "conv weight gradient, {what}");
+            assert_eq!(gb1.data(), gb.data(), "conv bias gradient, {what}");
+        }
     }
 }
 
