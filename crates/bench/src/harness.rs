@@ -8,8 +8,7 @@ use automc_compress::{
 };
 use automc_core::journal;
 use automc_core::{
-    evolution_search_journaled, progressive_search_journaled, random_search_journaled,
-    rl_search_journaled, AutoMcConfig, EvolutionConfig, JournalOptions, RlConfig, RoundControl,
+    drive, AutoMc, AutoMcConfig, EvolutionConfig, JournalOptions, Random, RlConfig, RoundControl,
     RoundEvent, RoundHook, RoundObserver, SearchBudget, SearchContext, SearchHistory,
 };
 use automc_data::ImageSet;
@@ -694,11 +693,11 @@ pub struct RunOpts {
     pub journal_dir: Option<std::path::PathBuf>,
 }
 
-/// Records whether a search loop actually stopped on its caller's cancel.
-/// The loops return at the round boundary where the hook answers
+/// Records whether a search actually stopped on its caller's cancel.
+/// The driver returns at the round boundary where the hook answers
 /// `Cancel`; re-reading `hook.cancelled()` after the search returns
 /// cannot tell that apart from a cancel landing after the last round,
-/// when the loop has finished and already discarded its journal.
+/// when the run has finished and already discarded its journal.
 struct StopLatch {
     inner: RoundHook,
     stopped: AtomicBool,
@@ -809,20 +808,17 @@ pub fn run_search_with(
             let opts = JournalOptions {
                 path: Some(journal_dir.join(format!("{key}.journal"))),
                 resume: resume_enabled(),
-                abort_after_rounds: None,
                 hook,
             };
             match algo {
                 Algo::AutoMc => {
-                    let emb = embeddings.expect("AutoMC needs embeddings").to_vec();
-                    let cfg = AutoMcConfig::default();
-                    progressive_search_journaled(&ctx, emb, &cfg, &mut rng, &opts)
+                    let embeddings = embeddings.expect("AutoMC needs embeddings").to_vec();
+                    let automc = AutoMc { embeddings, cfg: AutoMcConfig::default() };
+                    drive(&ctx, &automc, &mut rng, &opts)
                 }
-                Algo::Evolution => {
-                    evolution_search_journaled(&ctx, &EvolutionConfig::default(), &mut rng, &opts)
-                }
-                Algo::Rl => rl_search_journaled(&ctx, &RlConfig::default(), &mut rng, &opts),
-                Algo::Random => random_search_journaled(&ctx, &mut rng, &opts),
+                Algo::Evolution => drive(&ctx, &EvolutionConfig::default(), &mut rng, &opts),
+                Algo::Rl => drive(&ctx, &RlConfig::default(), &mut rng, &opts),
+                Algo::Random => drive(&ctx, &Random, &mut rng, &opts),
             }
         });
         eprintln!(
@@ -1315,7 +1311,8 @@ pub fn fig5_variant(
             gamma: scale.gamma,
             budget: SearchBudget::new(scale.budget_units),
         };
-        automc_core::progressive_search(&ctx, emb, &AutoMcConfig::default(), &mut rng)
+        let automc = AutoMc { embeddings: emb, cfg: AutoMcConfig::default() };
+        drive(&ctx, &automc, &mut rng, &JournalOptions::default())
     }))
 }
 

@@ -47,9 +47,9 @@ impl SearchContext<'_> {
         len < self.max_len
     }
 
-    /// The problem-instance words every search folds into its run
-    /// fingerprint (see [`crate::journal::fingerprint`]): a journal may
-    /// only be resumed by a run with an identical instance.
+    /// The problem-instance words the driver folds into every run
+    /// fingerprint (see [`crate::drive`]): a journal may only be resumed
+    /// by a run with an identical instance.
     pub fn fingerprint_words(&self) -> [u64; 7] {
         [
             self.space.len() as u64,

@@ -3,12 +3,13 @@
 //! crossover and replace/insert/delete mutation.
 
 use crate::context::SearchContext;
-use crate::history::{EvalRecord, EvalStatus, SearchHistory};
-use crate::journal::{self, JournalOptions};
+use crate::driver::{Candidate, Searcher};
+use crate::journal::NodeSnapshot;
 use crate::pareto;
+use crate::random::random_scheme;
 use crate::statebytes::{read_f32, read_u64, write_f32, write_u64};
-use automc_compress::{EvalOutcome, Scheme};
-use automc_tensor::fault;
+use automc_compress::{Scheme, SchemeOutcome};
+use automc_models::ConvNet;
 use automc_tensor::Rng;
 use rand::Rng as _;
 
@@ -27,7 +28,8 @@ impl Default for EvolutionConfig {
     }
 }
 
-struct Individual {
+/// One viable scheme of the population with its objectives.
+pub struct Individual {
     scheme: Scheme,
     ar: f32,
     pr: f32,
@@ -85,142 +87,10 @@ fn population_from_bytes(bytes: &[u8], space_len: usize, max_len: usize) -> Opti
     Some(population)
 }
 
-/// Run the EA until the budget is exhausted.
-///
-/// Thin wrapper over [`evolution_search_journaled`] with journaling
-/// disabled.
-pub fn evolution_search(
-    ctx: &SearchContext<'_>,
-    cfg: &EvolutionConfig,
-    rng: &mut Rng,
-) -> SearchHistory {
-    evolution_search_journaled(ctx, cfg, rng, &JournalOptions::default())
-}
-
-/// [`evolution_search`] with a crash-safe per-evaluation journal.
-///
-/// With `opts.path` set, the complete resumable state — history, the
-/// current population, RNG state, budget spent, and fault-injection
-/// counters — is journaled after every evaluation (both during population
-/// seeding and in the main loop); with `opts.resume`, a valid journal is
-/// restored and the run continues *bitwise identically* to one that was
-/// never interrupted. The journal is deleted on normal completion.
-pub fn evolution_search_journaled(
-    ctx: &SearchContext<'_>,
-    cfg: &EvolutionConfig,
-    rng: &mut Rng,
-    opts: &JournalOptions,
-) -> SearchHistory {
-    let mut words = ctx.fingerprint_words().to_vec();
-    words.extend([cfg.population as u64, cfg.mutation_rate.to_bits() as u64]);
-    let fingerprint = journal::fingerprint("AutoMC-evolution-v3", &words, rng.state());
-    let loaded = if opts.resume {
-        opts.path.as_deref().and_then(|p| journal::load(p, fingerprint))
-    } else {
-        None
-    };
-
-    let mut history = SearchHistory::new("Evolution");
-    let mut spent = 0u64;
-    let mut round = 0u64;
-    let mut population: Vec<Individual> = Vec::new();
-    let mut journal_to = opts.path.as_deref();
-    let memo_start = automc_compress::memo::stats();
-
-    if let Some(j) = loaded {
-        match population_from_bytes(&j.state, ctx.space.len(), ctx.max_len) {
-            Some(pop) => {
-                population = pop;
-                history = j.history;
-                spent = j.spent;
-                round = j.round;
-                *rng = Rng::from_state(j.rng);
-                fault::restore_counters(&j.fault_counters);
-                eprintln!(
-                    "[journal] resumed Evolution search at evaluation {round} \
-                     ({spent}/{} units spent)",
-                    ctx.budget.units
-                );
-            }
-            None => {
-                // No RNG draws happen before the loop, so there is nothing
-                // to rewind: just start fresh.
-                eprintln!(
-                    "warning: journal passed validation but did not decode; \
-                     starting fresh"
-                );
-            }
-        }
-    }
-
-    // Supervised evaluation: a panicking or diverging scheme is logged as
-    // infeasible (charged at least one evaluation's budget) and produces
-    // no individual — the population only ever holds viable schemes.
-    let evaluate = |scheme: Scheme,
-                    spent: &mut u64,
-                    history: &mut SearchHistory,
-                    journal_to: Option<&std::path::Path>|
-     -> Option<Individual> {
-        journal::record_eval_intent(journal_to, fingerprint);
-        let result = automc_compress::execute_scheme_checked(
-            ctx.base_model,
-            &ctx.base_metrics,
-            &scheme,
-            ctx.space,
-            ctx.search_train,
-            ctx.eval_set,
-            &ctx.exec,
-        );
-        *spent += result.charged_units((ctx.eval_set.len() as u64).max(1));
-        match result {
-            EvalOutcome::Ok { outcome, .. } => {
-                history
-                    .records
-                    .push(EvalRecord::from_outcome(scheme.clone(), &outcome, *spent));
-                Some(Individual { scheme, ar: outcome.ar, pr: outcome.pr })
-            }
-            EvalOutcome::Diverged { .. } => {
-                history.push_failure(scheme, EvalStatus::Diverged, *spent);
-                None
-            }
-            EvalOutcome::Panicked { msg, .. } => {
-                history.push_failure(scheme, EvalStatus::Panicked(msg), *spent);
-                None
-            }
-            EvalOutcome::TimedOut { .. } => {
-                history.push_failure(scheme, EvalStatus::TimedOut, *spent);
-                None
-            }
-        }
-    };
-
-    // Seed population. Resuming mid-seed is fine: the loop condition
-    // re-derives progress from the restored population.
-    while population.len() < cfg.population && spent < ctx.budget.units {
-        let len = rng.gen_range(1..=ctx.max_len);
-        let scheme: Scheme = (0..len).map(|_| rng.gen_range(0..ctx.space.len())).collect();
-        population.extend(evaluate(scheme, &mut spent, &mut history, journal_to));
-        round += 1;
-        journal::checkpoint_round(
-            &mut journal_to,
-            fingerprint,
-            round,
-            spent,
-            rng,
-            &history,
-            population_to_bytes(&population),
-        );
-        if opts.abort_after_rounds.is_some_and(|k| round >= k as u64) {
-            // Simulated crash for the resume-determinism tests.
-            return history;
-        }
-        if crate::progress::report_round(opts, &history, ctx, round, spent, &memo_start) {
-            return history;
-        }
-    }
-
-    while spent < ctx.budget.units && population.len() >= 2 {
-        // Binary tournament by Pareto rank then crowding.
+impl EvolutionConfig {
+    /// Breed one child: binary tournaments by Pareto rank, one-point
+    /// crossover, then replace/insert/delete mutation.
+    fn breed(&self, population: &[Individual], ctx: &SearchContext<'_>, rng: &mut Rng) -> Scheme {
         let points: Vec<(f32, f32)> = population.iter().map(|i| (i.ar, i.pr)).collect();
         let ranks = pareto::non_dominated_ranks(&points);
         let tournament = |rng: &mut Rng| -> usize {
@@ -243,7 +113,7 @@ pub fn evolution_search_journaled(
         child.truncate(ctx.max_len);
         // Mutation.
         for slot in child.iter_mut() {
-            if rng.gen::<f32>() < cfg.mutation_rate {
+            if rng.gen::<f32>() < self.mutation_rate {
                 *slot = rng.gen_range(0..ctx.space.len());
             }
         }
@@ -257,63 +127,104 @@ pub fn evolution_search_journaled(
         if child.is_empty() {
             child.push(rng.gen_range(0..ctx.space.len()));
         }
-        // Evaluate and insert; truncate by (rank, crowding).
-        let evaluated = evaluate(child, &mut spent, &mut history, journal_to);
-        round += 1;
-        if let Some(ind) = evaluated {
-            population.push(ind);
-            if population.len() > cfg.population {
-                let points: Vec<(f32, f32)> = population.iter().map(|i| (i.ar, i.pr)).collect();
-                let ranks = pareto::non_dominated_ranks(&points);
-                // Crowding within each rank.
-                let mut keyed: Vec<(usize, f32, usize)> = Vec::new(); // (rank, -crowding, idx)
-                let max_rank = ranks.iter().copied().max().unwrap_or(0);
-                for r in 0..=max_rank {
-                    let members: Vec<usize> =
-                        (0..population.len()).filter(|&i| ranks[i] == r).collect();
-                    let crowd = pareto::crowding_distance(&points, &members);
-                    for (k, &i) in members.iter().enumerate() {
-                        keyed.push((r, -crowd[k], i));
-                    }
-                }
-                keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-                let keep: Vec<usize> = keyed.iter().take(cfg.population).map(|k| k.2).collect();
-                let mut new_pop = Vec::with_capacity(cfg.population);
-                for (i, ind) in population.drain(..).enumerate() {
-                    if keep.contains(&i) {
-                        new_pop.push(ind);
-                    }
-                }
-                population = new_pop;
+        child
+    }
+}
+
+/// The EA's learner is its population, journaled after every evaluation
+/// during seeding and in the main loop alike.
+impl Searcher for EvolutionConfig {
+    type State = Vec<Individual>;
+    const NAME: &'static str = "Evolution";
+    const TAG: &'static str = "AutoMC-evolution-v3";
+
+    fn config_words(&self) -> Vec<u64> {
+        vec![self.population as u64, self.mutation_rate.to_bits() as u64]
+    }
+
+    fn init(&self, _ctx: &SearchContext<'_>, _rng: &mut Rng) -> Vec<Individual> {
+        Vec::new()
+    }
+
+    /// Seed the population with random schemes, then breed one child per
+    /// round; stop once fewer than two individuals survived seeding.
+    /// Resuming mid-seed is fine: the population size re-derives progress.
+    fn propose(
+        &self,
+        population: &mut Vec<Individual>,
+        ctx: &SearchContext<'_>,
+        rng: &mut Rng,
+    ) -> Option<Vec<Candidate>> {
+        let scheme = if population.len() < self.population {
+            random_scheme(ctx, rng)
+        } else if population.len() >= 2 {
+            self.breed(population, ctx, rng)
+        } else {
+            return None;
+        };
+        Some(vec![Candidate { scheme, prefix_cost: 0 }])
+    }
+
+    /// Insert a viable scheme (a failed one yields no individual) and
+    /// truncate by (rank, crowding).
+    fn observe(
+        &self,
+        population: &mut Vec<Individual>,
+        _ctx: &SearchContext<'_>,
+        _i: usize,
+        scheme: Scheme,
+        evaluated: Option<(ConvNet, SchemeOutcome)>,
+    ) {
+        let Some((_, outcome)) = evaluated else { return };
+        population.push(Individual { scheme, ar: outcome.ar, pr: outcome.pr });
+        if population.len() <= self.population {
+            return;
+        }
+        let points: Vec<(f32, f32)> = population.iter().map(|i| (i.ar, i.pr)).collect();
+        let ranks = pareto::non_dominated_ranks(&points);
+        // Crowding within each rank.
+        let mut keyed: Vec<(usize, f32, usize)> = Vec::new(); // (rank, -crowding, idx)
+        let max_rank = ranks.iter().copied().max().unwrap_or(0);
+        for r in 0..=max_rank {
+            let members: Vec<usize> = (0..population.len()).filter(|&i| ranks[i] == r).collect();
+            let crowd = pareto::crowding_distance(&points, &members);
+            for (k, &i) in members.iter().enumerate() {
+                keyed.push((r, -crowd[k], i));
             }
         }
-        journal::checkpoint_round(
-            &mut journal_to,
-            fingerprint,
-            round,
-            spent,
-            rng,
-            &history,
-            population_to_bytes(&population),
-        );
-        if opts.abort_after_rounds.is_some_and(|k| round >= k as u64) {
-            // Simulated crash for the resume-determinism tests.
-            return history;
+        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let keep: Vec<usize> = keyed.iter().take(self.population).map(|k| k.2).collect();
+        let mut new_pop = Vec::with_capacity(self.population);
+        for (i, ind) in population.drain(..).enumerate() {
+            if keep.contains(&i) {
+                new_pop.push(ind);
+            }
         }
-        if crate::progress::report_round(opts, &history, ctx, round, spent, &memo_start) {
-            return history;
-        }
+        *population = new_pop;
     }
-    if let Some(path) = opts.path.as_deref() {
-        journal::discard(path);
+
+    fn snapshot(&self, population: &Vec<Individual>) -> (Vec<u8>, Vec<NodeSnapshot>) {
+        (population_to_bytes(population), Vec::new())
     }
-    history
+
+    fn restore(
+        &self,
+        population: &mut Vec<Individual>,
+        ctx: &SearchContext<'_>,
+        state: &[u8],
+        _nodes: Vec<NodeSnapshot>,
+    ) -> Option<()> {
+        *population = population_from_bytes(state, ctx.space.len(), ctx.max_len)?;
+        Some(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::{SearchBudget, SearchContext};
+    use crate::driver::drive;
+    use crate::journal::JournalOptions;
     use automc_compress::{ExecConfig, Metrics, StrategySpace};
     use automc_data::{DatasetSpec, SyntheticKind};
     use automc_models::resnet;
@@ -363,7 +274,7 @@ mod tests {
             gamma: 0.2,
             budget: SearchBudget::new(6_000),
         };
-        let history = evolution_search(&ctx, &EvolutionConfig::default(), &mut rng);
+        let history = drive(&ctx, &EvolutionConfig::default(), &mut rng, &JournalOptions::default());
         assert!(history.records.len() >= 4, "EA should evaluate several schemes");
         assert!(history.records.iter().all(|r| !r.scheme.is_empty()));
         assert!(history.records.iter().all(|r| r.scheme.len() <= 3));

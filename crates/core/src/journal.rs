@@ -1,4 +1,5 @@
-//! Crash-safe round journal shared by all four search strategies.
+//! Crash-safe round journal, written and restored by the search driver
+//! ([`crate::drive`]) for all four search strategies.
 //!
 //! At the end of every search round the full resumable state — the
 //! evaluation history, the algorithm's opaque learner state (`F_mo` for
@@ -26,14 +27,14 @@
 //!
 //! Persistent write failures follow a retry-then-disable policy: each
 //! write is retried with backoff ([`write_atomic_retry`]), and a save that
-//! still fails is reported to the caller, which disables journaling for
+//! still fails is reported to the driver, which disables journaling for
 //! the rest of the run rather than silently continuing to trust a stale
 //! checkpoint.
 
 use crate::history::SearchHistory;
 use automc_compress::{EvalCost, Metrics, Scheme, StrategyId};
 use automc_json::{field, obj, ToJson, Value};
-use automc_tensor::{fault, Rng};
+use automc_tensor::fault;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,22 +45,6 @@ use std::path::{Path, PathBuf};
 // sits lower in the crate graph. Re-exported here so every existing
 // `journal::fnv1a64` / `journal::write_atomic*` caller keeps working.
 pub use automc_compress::store::{fnv1a64, write_atomic, write_atomic_retry};
-
-/// Hash a run fingerprint from a version tag, the run-shaping words
-/// (problem instance + algorithm configuration), and the RNG's starting
-/// state. Bump the tag whenever an algorithm's journal format or RNG
-/// draw order changes — an old journal must not resume a new binary.
-pub fn fingerprint(tag: &str, words: &[u64], rng_state: [u64; 4]) -> u64 {
-    let mut buf: Vec<u8> = Vec::with_capacity(tag.len() + (words.len() + 4) * 8);
-    buf.extend_from_slice(tag.as_bytes());
-    for &w in words {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    for w in rng_state {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    fnv1a64(&buf)
-}
 
 /// Lowercase hex digits, indexed by nibble value.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -402,8 +387,8 @@ fn collect_garbage(dir: &Path, live: &[u64]) {
 // The journal itself
 // ------------------------------------------------------------------------
 
-/// Crash-safety knobs shared by all four search strategies. The default
-/// is no journaling — identical to the pre-journal behaviour.
+/// Crash-safety knobs of one [`crate::drive`] run. The default is no
+/// journaling — identical to the pre-journal behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct JournalOptions {
     /// Journal file written after every round (`None` = no journaling).
@@ -412,12 +397,10 @@ pub struct JournalOptions {
     /// starting. A missing, corrupt, or mismatched journal falls back to
     /// a fresh run.
     pub resume: bool,
-    /// Test hook: return (as if the process died) once this many rounds
-    /// have completed, leaving the journal on disk for a resumed run.
-    pub abort_after_rounds: Option<usize>,
     /// Progress/cancel observer invoked after every round's journal write
     /// (see [`crate::progress`]). A cancelled search returns its partial
-    /// history and keeps its journal, exactly like `abort_after_rounds`.
+    /// history and keeps its journal, so a resumed run continues from the
+    /// cancelled round.
     pub hook: crate::progress::RoundHook,
 }
 
@@ -647,43 +630,6 @@ pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
     }
     merge_eval_intent(path, fingerprint, &mut journal.fault_counters);
     Some(journal)
-}
-
-/// Journal one completed round of a baseline search (no extension nodes;
-/// the learner packed into `state`), applying the retry-then-disable
-/// policy: if the save still fails after [`write_atomic_retry`]'s
-/// attempts, the stale journal is discarded and `journal_to` is cleared so
-/// the run continues un-journaled — a later resume must never trust a
-/// checkpoint older than the run that wrote it.
-pub fn checkpoint_round(
-    journal_to: &mut Option<&Path>,
-    fingerprint: u64,
-    round: u64,
-    spent: u64,
-    rng: &Rng,
-    history: &SearchHistory,
-    state: Vec<u8>,
-) {
-    let Some(path) = *journal_to else { return };
-    let snap = SearchJournal {
-        fingerprint,
-        round,
-        spent,
-        rng: rng.state(),
-        history: history.clone(),
-        state,
-        nodes: Vec::new(),
-        fault_counters: fault::counters(),
-    };
-    if let Err(e) = save(path, &snap) {
-        eprintln!(
-            "warning: journal {} keeps failing ({e}); journaling disabled \
-             for the rest of this run",
-            path.display()
-        );
-        discard(path);
-        *journal_to = None;
-    }
 }
 
 /// Remove a journal and its blob store once the run has completed. Errors

@@ -6,16 +6,20 @@
 //! * [`SearchContext`] — one automatic-model-compression problem instance
 //!   (Definition 1): base model, target reduction rate γ, the strategy
 //!   space, the 10% search sample, and an evaluation budget.
+//! * [`drive`] — the one search loop: run fingerprint, journal resume,
+//!   supervised evaluation, budget charge, history, round checkpoint,
+//!   round hook. Each strategy is a [`Searcher`] that supplies only its
+//!   learner, its candidates and what it learns from their outcomes.
 //! * [`Fmo`] — the multi-objective step evaluator (Fig. 3): an RNN encodes
 //!   the strategy sequence, an MLP head predicts the step deltas
 //!   `(AR_step, PR_step)` for a candidate next strategy; trained online by
 //!   Eq. 5.
-//! * [`progressive_search`] — Algorithm 2. Evaluated schemes keep their
-//!   compressed model snapshots, so extending a scheme by one strategy
-//!   costs one strategy execution (the efficiency the paper claims for
-//!   progressive exploration).
-//! * Baselines: [`random_search`], [`evolution_search`] (multi-objective
-//!   EA), [`rl_search`] (recurrent controller + REINFORCE) — all evaluate
+//! * [`AutoMc`] — Algorithm 2, the progressive search. Evaluated schemes
+//!   keep their compressed model snapshots, so extending a scheme by one
+//!   strategy costs one strategy execution (the efficiency the paper
+//!   claims for progressive exploration).
+//! * Baselines: [`Random`], [`EvolutionConfig`] (multi-objective EA),
+//!   [`RlConfig`] (recurrent controller + REINFORCE) — all evaluate
 //!   *complete* schemes, as in the paper.
 //! * [`SearchHistory`] — per-evaluation log all algorithms emit; the
 //!   tables and figures are rendered from it.
@@ -24,6 +28,7 @@
 #![deny(unsafe_code)]
 
 mod context;
+mod driver;
 mod evolution;
 mod fmo;
 pub mod history;
@@ -37,11 +42,12 @@ mod statebytes;
 pub mod transfer;
 
 pub use context::{SearchBudget, SearchContext};
-pub use evolution::{evolution_search, evolution_search_journaled, EvolutionConfig};
+pub use driver::{drive, Candidate, Searcher};
+pub use evolution::EvolutionConfig;
 pub use fmo::Fmo;
 pub use history::{EvalRecord, EvalStatus, SearchHistory};
 pub use journal::JournalOptions;
 pub use progress::{RoundControl, RoundEvent, RoundHook, RoundObserver};
-pub use progressive::{progressive_search, progressive_search_journaled, AutoMcConfig};
-pub use random::{random_search, random_search_journaled};
-pub use rl::{rl_search, rl_search_journaled, RlConfig};
+pub use progressive::{AutoMc, AutoMcConfig};
+pub use random::Random;
+pub use rl::RlConfig;

@@ -1,16 +1,16 @@
 //! Round-boundary progress reporting and cooperative cancellation.
 //!
-//! All four search strategies journal their state at the end of every
-//! round; that same boundary is the only safe place to pause or stop a
-//! search (mid-round state is not resumable). A [`RoundHook`] threads an
-//! observer through [`JournalOptions`](crate::journal::JournalOptions):
-//! after each journal write the search reports a [`RoundEvent`] (round
-//! number, budget spent, best feasible candidate so far, memo counters)
-//! and the observer answers [`RoundControl::Continue`] or
-//! [`RoundControl::Cancel`]. A cancelled search returns its partial
-//! history and — exactly like the `abort_after_rounds` crash hook — keeps
-//! the journal on disk, so a resubmitted run resumes from the cancelled
-//! round for free.
+//! The search driver ([`crate::drive`]) journals the state of every
+//! search at the end of each round; that same boundary is the only safe
+//! place to pause or stop a search (mid-round state is not resumable). A
+//! [`RoundHook`] threads an observer through
+//! [`JournalOptions`](crate::journal::JournalOptions): after each journal
+//! write the driver reports a [`RoundEvent`] (round number, budget spent,
+//! best feasible candidate so far, memo counters) and the observer answers
+//! [`RoundControl::Continue`] or [`RoundControl::Cancel`]. A cancelled
+//! search returns its partial history and keeps the journal on disk, so a
+//! resubmitted run resumes from the cancelled round for free; the resume
+//! tests stop their runs the same way.
 //!
 //! The hook runs on whichever thread executes the search (a `par` pool
 //! worker under the bench harness), so observers must be `Send + Sync`
@@ -87,7 +87,7 @@ impl RoundEvent {
     }
 }
 
-/// Observer invoked at every round boundary of a journaled search.
+/// Observer invoked at every round boundary of a search.
 pub trait RoundObserver: Send + Sync {
     /// Called after each round's journal write; the return value decides
     /// whether the search continues.
@@ -104,7 +104,7 @@ pub trait RoundObserver: Send + Sync {
 /// An optional shared [`RoundObserver`], defaulting to "no observer".
 /// Cloning shares the observer. Carried by
 /// [`JournalOptions`](crate::journal::JournalOptions) so the hook reaches
-/// every search without widening their signatures.
+/// the driver without widening its signature.
 #[derive(Clone, Default)]
 pub struct RoundHook(Option<Arc<dyn RoundObserver>>);
 
@@ -132,27 +132,6 @@ impl RoundHook {
     pub fn cancelled(&self) -> bool {
         self.0.as_ref().is_some_and(|obs| obs.cancelled())
     }
-}
-
-/// Shared round-boundary hook call for the four search loops: build a
-/// [`RoundEvent`] from the live state and consult the observer. Returns
-/// `true` when the observer cancelled — the caller must return its
-/// partial history immediately, leaving the journal on disk. A no-op
-/// (`false`) when no observer is attached.
-pub fn report_round(
-    opts: &crate::journal::JournalOptions,
-    history: &SearchHistory,
-    ctx: &crate::context::SearchContext<'_>,
-    round: u64,
-    spent: u64,
-    memo_start: &MemoStats,
-) -> bool {
-    if !opts.hook.is_set() {
-        return false;
-    }
-    let ev =
-        RoundEvent::from_history(history, ctx.gamma, round, spent, ctx.budget.units, memo_start);
-    opts.hook.observe(&ev) == RoundControl::Cancel
 }
 
 impl fmt::Debug for RoundHook {

@@ -10,16 +10,13 @@
 //! frontier for the next round.
 
 use crate::context::SearchContext;
+use crate::driver::{Candidate, Searcher};
 use crate::fmo::{Fmo, StepSample};
-use crate::history::{EvalRecord, EvalStatus, SearchHistory};
-use crate::journal::{self, JournalOptions, NodeSnapshot, SearchJournal};
+use crate::journal::NodeSnapshot;
 use crate::pareto;
-use automc_compress::{
-    execute_scheme_checked, EvalCost, EvalOutcome, Metrics, Scheme, StrategyId,
-};
+use automc_compress::{EvalCost, Metrics, Scheme, SchemeOutcome, StrategyId};
 use automc_models::serialize;
 use automc_models::ConvNet;
-use automc_tensor::fault;
 use automc_tensor::Rng;
 use rand::seq::SliceRandom;
 use std::collections::HashSet;
@@ -59,47 +56,31 @@ struct Node {
     explored: HashSet<StrategyId>,
 }
 
-/// Hash of everything that shapes a run: the problem instance, the search
-/// configuration, the strategy embeddings, and the RNG's starting state.
-/// Journals carry this so a resumed run can only pick up state produced
-/// by an identical run.
-fn run_fingerprint(
-    ctx: &SearchContext<'_>,
-    embeddings: &[Vec<f32>],
-    cfg: &AutoMcConfig,
-    rng_state: [u64; 4],
-) -> u64 {
-    let mut buf: Vec<u8> = Vec::new();
-    buf.extend_from_slice(b"AutoMC-progressive-v3");
-    for w in [
-        ctx.space.len() as u64,
-        ctx.budget.units,
-        ctx.max_len as u64,
-        ctx.gamma.to_bits() as u64,
-        ctx.base_metrics.params as u64,
-        ctx.base_metrics.flops,
-        ctx.base_metrics.acc.to_bits() as u64,
-        cfg.sample_schemes as u64,
-        cfg.evals_per_round as u64,
-        cfg.candidate_sample as u64,
-        cfg.fmo_train_epochs as u64,
-    ] {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    for w in rng_state {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    for row in embeddings {
-        buf.extend_from_slice(&(row.len() as u64).to_le_bytes());
-        for &v in row {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-    journal::fnv1a64(&buf)
+/// AutoMC's progressive search (Algorithm 2): the strategy embeddings it
+/// scores candidates with and its knobs. Returns, through
+/// [`crate::drive`], the full evaluation history; the Pareto-optimal
+/// schemes with `PR ≥ γ` are the paper's final output
+/// (`SearchHistory::pareto_indices`).
+#[derive(Debug, Clone)]
+pub struct AutoMc {
+    /// One Algorithm 1 embedding per strategy of the space (ablations pass
+    /// differently learned ones).
+    pub embeddings: Vec<Vec<f32>>,
+    /// Search knobs.
+    pub cfg: AutoMcConfig,
 }
 
-/// Decode a journal back into live search state. `None` (= start fresh)
-/// if any node model fails to deserialise.
+/// The progressive search's learner: `F_mo`, every evaluated scheme kept
+/// alive for extension, and the extensions proposed this round.
+pub struct Frontier {
+    fmo: Fmo,
+    nodes: Vec<Node>,
+    /// `(node index, strategy)` of each candidate of the current round.
+    proposed: Vec<(usize, StrategyId)>,
+}
+
+/// Decode journaled nodes back into live ones. `None` (= start fresh) if
+/// any node model fails to deserialise.
 fn decode_nodes(snapshots: Vec<NodeSnapshot>) -> Option<Vec<Node>> {
     let mut nodes = Vec::with_capacity(snapshots.len());
     for snap in snapshots {
@@ -115,149 +96,66 @@ fn decode_nodes(snapshots: Vec<NodeSnapshot>) -> Option<Vec<Node>> {
     Some(nodes)
 }
 
-fn snapshot_run(
-    fingerprint: u64,
-    round: u64,
-    spent: u64,
-    rng: &Rng,
-    history: &SearchHistory,
-    fmo: &Fmo,
-    nodes: &[Node],
-) -> SearchJournal {
-    SearchJournal {
-        fingerprint,
-        round,
-        spent,
-        rng: rng.state(),
-        history: history.clone(),
-        state: fmo.state_to_bytes(),
-        fault_counters: fault::counters(),
-        nodes: nodes
-            .iter()
-            .map(|n| {
-                let mut explored: Vec<StrategyId> = n.explored.iter().copied().collect();
-                explored.sort_unstable();
-                NodeSnapshot {
-                    scheme: n.scheme.clone(),
-                    metrics: n.metrics,
-                    cost: n.cost,
-                    explored,
-                    model: serialize::model_to_bytes(&n.model),
-                }
-            })
-            .collect(),
+impl Searcher for AutoMc {
+    type State = Frontier;
+    const NAME: &'static str = "AutoMC";
+    const TAG: &'static str = "AutoMC-progressive-v3";
+
+    fn config_words(&self) -> Vec<u64> {
+        vec![
+            self.cfg.sample_schemes as u64,
+            self.cfg.evals_per_round as u64,
+            self.cfg.candidate_sample as u64,
+            self.cfg.fmo_train_epochs as u64,
+        ]
     }
-}
 
-/// Run AutoMC's progressive search until the budget is exhausted.
-///
-/// `embeddings` are the Algorithm 1 strategy embeddings (ablations pass
-/// differently-learned ones). Returns the full evaluation history; the
-/// Pareto-optimal schemes with `PR ≥ γ` are the paper's final output
-/// (`SearchHistory::pareto_indices`).
-///
-/// Thin wrapper over [`progressive_search_journaled`] with journaling
-/// disabled.
-pub fn progressive_search(
-    ctx: &SearchContext<'_>,
-    embeddings: Vec<Vec<f32>>,
-    cfg: &AutoMcConfig,
-    rng: &mut Rng,
-) -> SearchHistory {
-    progressive_search_journaled(ctx, embeddings, cfg, rng, &JournalOptions::default())
-}
-
-/// [`progressive_search`] with supervised candidate evaluations and a
-/// crash-safe round journal.
-///
-/// Every candidate evaluation goes through the supervised
-/// [`execute_scheme_checked`] executor: a panicking, diverging, or
-/// timed-out evaluation is recorded in the history as an infeasible
-/// [`EvalStatus`] failure (still charged at least one evaluation's
-/// budget, so failures cannot stall the search) and the round continues
-/// with the surviving candidates.
-///
-/// With `opts.path` set, the complete resumable state is journaled after
-/// every round with atomic writes; with `opts.resume`, a valid journal is
-/// restored and the run continues *bitwise identically* to one that was
-/// never interrupted. Fresh runs (no journal on disk) are also bitwise
-/// identical to un-journaled runs. The journal is deleted on normal
-/// completion.
-pub fn progressive_search_journaled(
-    ctx: &SearchContext<'_>,
-    embeddings: Vec<Vec<f32>>,
-    cfg: &AutoMcConfig,
-    rng: &mut Rng,
-    opts: &JournalOptions,
-) -> SearchHistory {
-    assert_eq!(embeddings.len(), ctx.space.len(), "one embedding per strategy");
-    let fingerprint = run_fingerprint(ctx, &embeddings, cfg, rng.state());
-    let loaded = if opts.resume {
-        opts.path.as_deref().and_then(|p| journal::load(p, fingerprint))
-    } else {
-        None
-    };
-
-    // Construct the evaluator unconditionally so a fresh (or
-    // failed-restore) run consumes exactly the same RNG draws as an
-    // un-journaled one.
-    let pre_fmo_rng = rng.state();
-    let mut fmo = Fmo::new(embeddings.clone(), rng);
-    let mut history = SearchHistory::new("AutoMC");
-    let mut nodes: Vec<Node> = vec![Node {
-        scheme: Vec::new(),
-        model: ctx.base_model.clone_net(),
-        metrics: ctx.base_metrics,
-        cost: EvalCost::default(),
-        explored: HashSet::new(),
-    }];
-    let mut spent = 0u64;
-    let mut round = 0u64;
-    // Persistent-failure policy: a journal write that still fails after
-    // bounded retries disables journaling for the rest of the run, rather
-    // than leaving a stale checkpoint on disk that a resume would trust.
-    let mut journal_to = opts.path.as_deref();
-
-    if let Some(j) = loaded {
-        let restored = decode_nodes(j.nodes).and_then(|decoded| {
-            // `restore_state` may leave the evaluator partially
-            // overwritten on failure; the fallback below rebuilds it.
-            fmo.restore_state(&j.state).map(|()| decoded)
-        });
-        match restored {
-            Some(decoded) => {
-                history = j.history;
-                nodes = decoded;
-                spent = j.spent;
-                round = j.round;
-                *rng = Rng::from_state(j.rng);
-                fault::restore_counters(&j.fault_counters);
-                eprintln!(
-                    "[journal] resumed AutoMC search at round {round} \
-                     ({spent}/{} units spent)",
-                    ctx.budget.units
-                );
+    fn fingerprint_tail(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for row in &self.embeddings {
+            buf.extend_from_slice(&(row.len() as u64).to_le_bytes());
+            for &v in row {
+                buf.extend_from_slice(&v.to_bits().to_le_bytes());
             }
-            None => {
-                eprintln!(
-                    "warning: journal passed validation but did not decode; \
-                     starting fresh"
-                );
-                *rng = Rng::from_state(pre_fmo_rng);
-                fmo = Fmo::new(embeddings, rng);
-            }
+        }
+        buf
+    }
+
+    fn init(&self, ctx: &SearchContext<'_>, rng: &mut Rng) -> Frontier {
+        assert_eq!(self.embeddings.len(), ctx.space.len(), "one embedding per strategy");
+        Frontier {
+            fmo: Fmo::new(self.embeddings.clone(), rng),
+            nodes: vec![Node {
+                scheme: Vec::new(),
+                model: ctx.base_model.clone_net(),
+                metrics: ctx.base_metrics,
+                cost: EvalCost::default(),
+                explored: HashSet::new(),
+            }],
+            proposed: Vec::new(),
         }
     }
 
-    let memo_start = automc_compress::memo::stats();
-    while spent < ctx.budget.units {
+    /// Score one-step extensions of a sample of evaluated schemes with
+    /// `F_mo` and propose the predicted-Pareto-optimal ones. Each
+    /// re-executes its *full* scheme; the shared prefix cache serves the
+    /// node's already-evaluated prefix, so the extension costs a single
+    /// strategy application and is charged only that marginal cost.
+    fn propose(
+        &self,
+        fr: &mut Frontier,
+        ctx: &SearchContext<'_>,
+        rng: &mut Rng,
+    ) -> Option<Vec<Candidate>> {
+        let cfg = &self.cfg;
+        let nodes = &fr.nodes;
         // ---- Sample H_sub: Pareto-front nodes plus random extras. ------
         let extendable: Vec<usize> = (0..nodes.len())
             .filter(|&i| ctx.can_extend(nodes[i].scheme.len()))
             .filter(|&i| nodes[i].explored.len() < ctx.space.len())
             .collect();
         if extendable.is_empty() {
-            break;
+            return None;
         }
         let points: Vec<(f32, f32)> = extendable
             .iter()
@@ -294,7 +192,7 @@ pub fn progressive_search_journaled(
                 cands.shuffle(rng);
                 cands.truncate(cfg.candidate_sample);
             }
-            let preds = fmo.predict_batch(&nodes[ni].scheme, node_state, &cands);
+            let preds = fr.fmo.predict_batch(&nodes[ni].scheme, node_state, &cands);
             for (c, (ar_hat, pr_hat)) in cands.into_iter().zip(preds) {
                 let acc_pred = nodes[ni].metrics.acc * (1.0 + ar_hat);
                 let par_pred = nodes[ni].metrics.params as f32 * (1.0 - pr_hat);
@@ -302,7 +200,7 @@ pub fn progressive_search_journaled(
             }
         }
         if tuples.is_empty() {
-            break;
+            return None;
         }
 
         // ---- ParetoO: maximise ACC, minimise PAR. -----------------------
@@ -311,126 +209,94 @@ pub fn progressive_search_journaled(
         let mut chosen = pareto::pareto_front(&objective);
         chosen.shuffle(rng);
         chosen.truncate(cfg.evals_per_round);
-
-        // ---- Evaluate the chosen extensions for real, supervised. ------
-        // Each candidate re-executes its *full* scheme through the
-        // supervised executor; the shared prefix cache serves the node's
-        // already-evaluated prefix, so the extension costs a single
-        // strategy application. A failed candidate becomes an infeasible
-        // history record and the round carries on.
-        for &ti in &chosen {
-            if spent >= ctx.budget.units {
-                break;
-            }
-            let (ni, cand, _, _) = tuples[ti];
-            let prev_metrics = nodes[ni].metrics;
-            nodes[ni].explored.insert(cand);
-            let mut scheme = nodes[ni].scheme.clone();
-            scheme.push(cand);
-
-            journal::record_eval_intent(journal_to, fingerprint);
-            let result = execute_scheme_checked(
-                ctx.base_model,
-                &ctx.base_metrics,
-                &scheme,
-                ctx.space,
-                ctx.search_train,
-                ctx.eval_set,
-                &ctx.exec,
-            );
-            // Charge the *marginal* cost over the node's cached prefix,
-            // floored at one evaluation pass so a candidate that fails
-            // instantly still drains the budget.
-            let marginal =
-                result.cost().units().saturating_sub(nodes[ni].cost.units());
-            spent += marginal.max((ctx.eval_set.len() as u64).max(1));
-            let (model, outcome) = match result {
-                EvalOutcome::Ok { model, outcome } => (model, outcome),
-                EvalOutcome::Diverged { .. } => {
-                    history.push_failure(scheme, EvalStatus::Diverged, spent);
-                    continue;
-                }
-                EvalOutcome::Panicked { msg, .. } => {
-                    history.push_failure(scheme, EvalStatus::Panicked(msg), spent);
-                    continue;
-                }
-                EvalOutcome::TimedOut { .. } => {
-                    history.push_failure(scheme, EvalStatus::TimedOut, spent);
-                    continue;
-                }
-            };
-            let metrics = outcome.metrics;
-
-            // Observe the step for F_mo (Eq. 5 training data).
-            fmo.observe(StepSample {
-                seq: nodes[ni].scheme.clone(),
-                cand,
-                state: [
-                    prev_metrics.acc,
-                    prev_metrics.params as f32 / ctx.base_metrics.params.max(1) as f32,
-                ],
-                ar_step: metrics.ar(&prev_metrics),
-                pr_step: metrics.pr(&prev_metrics),
-            });
-            // Record against the base model.
-            history.records.push(EvalRecord {
-                scheme: scheme.clone(),
-                pr: outcome.pr,
-                fr: outcome.fr,
-                ar: outcome.ar,
-                acc: metrics.acc,
-                params: metrics.params,
-                flops: metrics.flops,
-                cost_so_far: spent,
-                status: EvalStatus::Ok,
-            });
-            nodes.push(Node {
-                scheme,
-                model,
-                metrics,
-                cost: outcome.cost,
-                explored: HashSet::new(),
-            });
-        }
-
-        // ---- Retrain F_mo on everything observed so far (Eq. 5). -------
-        fmo.train(cfg.fmo_train_epochs, rng);
-        round += 1;
-
-        // ---- Journal the completed round (atomic write + retry). -------
-        if let Some(path) = journal_to {
-            let snap = snapshot_run(fingerprint, round, spent, rng, &history, &fmo, &nodes);
-            if let Err(e) = journal::save(path, &snap) {
-                eprintln!(
-                    "warning: journal {} keeps failing ({e}); journaling \
-                     disabled for the rest of this run",
-                    path.display()
-                );
-                journal::discard(path);
-                journal_to = None;
-            }
-        }
-        if opts.abort_after_rounds.is_some_and(|k| round >= k as u64) {
-            // Simulated crash for the resume-determinism tests: the
-            // journal stays on disk, the partial history is returned.
-            return history;
-        }
-        if crate::progress::report_round(opts, &history, ctx, round, spent, &memo_start) {
-            // Cooperative cancel: like the crash hook above, the journal
-            // stays on disk so a resubmitted run resumes at this round.
-            return history;
-        }
+        fr.proposed = chosen.iter().map(|&ti| (tuples[ti].0, tuples[ti].1)).collect();
+        Some(
+            fr.proposed
+                .iter()
+                .map(|&(ni, cand)| {
+                    let mut scheme = nodes[ni].scheme.clone();
+                    scheme.push(cand);
+                    Candidate { scheme, prefix_cost: nodes[ni].cost.units() }
+                })
+                .collect(),
+        )
     }
-    if let Some(path) = opts.path.as_deref() {
-        journal::discard(path);
+
+    /// Mark the extension explored; a successful one becomes a new node and
+    /// an Eq. 5 training sample for `F_mo`.
+    fn observe(
+        &self,
+        fr: &mut Frontier,
+        ctx: &SearchContext<'_>,
+        i: usize,
+        scheme: Scheme,
+        evaluated: Option<(ConvNet, SchemeOutcome)>,
+    ) {
+        let (ni, cand) = fr.proposed[i];
+        fr.nodes[ni].explored.insert(cand);
+        let Some((model, outcome)) = evaluated else { return };
+        let prev = fr.nodes[ni].metrics;
+        let metrics = outcome.metrics;
+        fr.fmo.observe(StepSample {
+            seq: fr.nodes[ni].scheme.clone(),
+            cand,
+            state: [prev.acc, prev.params as f32 / ctx.base_metrics.params.max(1) as f32],
+            ar_step: metrics.ar(&prev),
+            pr_step: metrics.pr(&prev),
+        });
+        fr.nodes.push(Node {
+            scheme,
+            model,
+            metrics,
+            cost: outcome.cost,
+            explored: HashSet::new(),
+        });
     }
-    history
+
+    /// Retrain `F_mo` on everything observed so far (Eq. 5).
+    fn end_round(&self, fr: &mut Frontier, rng: &mut Rng) {
+        fr.fmo.train(self.cfg.fmo_train_epochs, rng);
+    }
+
+    fn snapshot(&self, fr: &Frontier) -> (Vec<u8>, Vec<NodeSnapshot>) {
+        let nodes = fr
+            .nodes
+            .iter()
+            .map(|n| {
+                let mut explored: Vec<StrategyId> = n.explored.iter().copied().collect();
+                explored.sort_unstable();
+                NodeSnapshot {
+                    scheme: n.scheme.clone(),
+                    metrics: n.metrics,
+                    cost: n.cost,
+                    explored,
+                    model: serialize::model_to_bytes(&n.model),
+                }
+            })
+            .collect();
+        (fr.fmo.state_to_bytes(), nodes)
+    }
+
+    fn restore(
+        &self,
+        fr: &mut Frontier,
+        _ctx: &SearchContext<'_>,
+        state: &[u8],
+        nodes: Vec<NodeSnapshot>,
+    ) -> Option<()> {
+        let decoded = decode_nodes(nodes)?;
+        fr.fmo.restore_state(state)?;
+        fr.nodes = decoded;
+        Some(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::{SearchBudget, SearchContext};
+    use crate::driver::drive;
+    use crate::journal::JournalOptions;
     use automc_compress::{ExecConfig, StrategySpace};
     use automc_data::{DatasetSpec, SyntheticKind};
     use automc_models::resnet;
@@ -473,8 +339,11 @@ mod tests {
         let emb: Vec<Vec<f32>> = (0..space.len())
             .map(|i| vec![(i % 97) as f32 / 97.0, (i % 13) as f32 / 13.0, 0.5, 0.1])
             .collect();
-        let cfg = AutoMcConfig { candidate_sample: 64, ..Default::default() };
-        let history = progressive_search(&ctx, emb, &cfg, &mut rng);
+        let searcher = AutoMc {
+            embeddings: emb,
+            cfg: AutoMcConfig { candidate_sample: 64, ..Default::default() },
+        };
+        let history = drive(&ctx, &searcher, &mut rng, &JournalOptions::default());
         assert!(!history.records.is_empty(), "search evaluated nothing");
         assert!(history.total_cost() >= ctx.budget.units.min(1));
         // At least one scheme should achieve meaningful reduction.

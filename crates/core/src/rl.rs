@@ -9,13 +9,13 @@
 //! penalises missing the target rate γ.
 
 use crate::context::SearchContext;
-use crate::history::{EvalRecord, EvalStatus, SearchHistory};
-use crate::journal::{self, JournalOptions};
+use crate::driver::{Candidate, Searcher};
+use crate::journal::NodeSnapshot;
 use crate::statebytes::{
     read_f32, read_tensor_list, read_u64, take_bytes, write_f32, write_tensor_list, write_u64,
 };
-use automc_compress::{EvalOutcome, Scheme};
-use automc_tensor::fault;
+use automc_compress::{Scheme, SchemeOutcome};
+use automc_models::ConvNet;
 use automc_tensor::nn::Rnn;
 use automc_tensor::optim::{Adam, AdamConfig, AdamState, Optimizer, Param};
 use automc_tensor::{loss, Rng, Tensor};
@@ -47,10 +47,19 @@ fn reward(ar: f32, pr: f32, gamma: f32) -> f32 {
 
 const STATE_MAGIC: &[u8; 8] = b"AUTOMCr1";
 
+/// What REINFORCE needs from a sampled episode, per emitted step: the
+/// hidden state, the action and the action distribution.
+#[derive(Default)]
+struct Episode {
+    states: Vec<Tensor>,
+    actions: Vec<usize>,
+    probs: Vec<Vec<f32>>,
+}
+
 /// The recurrent controller with its optimizer and reward baseline — the
 /// complete learner state, grouped so a journal can snapshot and restore
 /// it as one opaque byte string.
-struct Controller {
+pub struct Controller {
     emb: Tensor,
     emb_grad: Tensor,
     rnn: Rnn,
@@ -59,6 +68,9 @@ struct Controller {
     opt: Adam,
     baseline: f32,
     baseline_init: bool,
+    /// The episode sampled last, consumed by its REINFORCE step. Never
+    /// journaled: snapshots are taken between episodes.
+    episode: Episode,
 }
 
 impl Controller {
@@ -72,6 +84,7 @@ impl Controller {
             opt: Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() }),
             baseline: 0.0,
             baseline_init: false,
+            episode: Episode::default(),
         }
     }
 
@@ -135,157 +148,23 @@ impl Controller {
         Some(())
     }
 
-    /// One REINFORCE step from a finished episode's reward.
-    #[allow(clippy::too_many_arguments)]
-    fn reinforce(
-        &mut self,
-        cfg: &RlConfig,
-        r: f32,
-        step_states: &[Tensor],
-        step_actions: &[usize],
-        step_probs: &[Vec<f32>],
-        start_token: usize,
-        stop: usize,
-    ) {
-        if !self.baseline_init {
-            self.baseline = r;
-            self.baseline_init = true;
-        }
-        let advantage = r - self.baseline;
-        self.baseline = cfg.baseline_decay * self.baseline + (1.0 - cfg.baseline_decay) * r;
-        // Per-step gradient on logits: (softmax − onehot) · advantage.
-        let mut h_grads: Vec<Option<Tensor>> = vec![None; step_actions.len()];
-        for (t, (&action, probs)) in step_actions.iter().zip(step_probs).enumerate() {
-            let mut glogits = probs.clone();
-            glogits[action] -= 1.0;
-            for g in glogits.iter_mut() {
-                *g *= advantage;
-            }
-            // dW += glogits ⊗ h_t ; dh_t = Wᵀ glogits
-            let mut dh = vec![0.0f32; cfg.hidden];
-            for (a, &g) in glogits.iter().enumerate() {
-                if g == 0.0 || !g.is_finite() {
-                    continue;
-                }
-                let wrow = self.w.row(a);
-                let grow = self.w_grad.row_mut(a);
-                for j in 0..cfg.hidden {
-                    grow[j] += g * step_states[t].row(0)[j];
-                    dh[j] += g * wrow[j];
-                }
-            }
-            h_grads[t] = Some(Tensor::from_slice(&[1, cfg.hidden], &dh));
-        }
-        let dx = self.rnn.backward_through_time(&h_grads);
-        // Embedding-table gradients from the per-step input grads.
-        let mut prev = start_token;
-        for (t, dxt) in dx.iter().enumerate() {
-            let row = self.emb_grad.row_mut(prev);
-            for (g, &d) in row.iter_mut().zip(dxt.row(0)) {
-                *g += d;
-            }
-            if t < step_actions.len() && step_actions[t] != stop {
-                prev = step_actions[t];
-            }
-        }
-        let mut params = self.rnn.params_mut();
-        params.push(Param { value: &mut self.w, grad: &mut self.w_grad, weight_decay: false });
-        params.push(Param { value: &mut self.emb, grad: &mut self.emb_grad, weight_decay: false });
-        self.opt.step(&mut params);
-    }
-}
-
-/// Run the RL controller until the budget is exhausted.
-///
-/// Thin wrapper over [`rl_search_journaled`] with journaling disabled.
-pub fn rl_search(ctx: &SearchContext<'_>, cfg: &RlConfig, rng: &mut Rng) -> SearchHistory {
-    rl_search_journaled(ctx, cfg, rng, &JournalOptions::default())
-}
-
-/// [`rl_search`] with a crash-safe per-episode journal.
-///
-/// With `opts.path` set, the complete resumable state — history,
-/// controller weights, Adam moments, reward baseline, RNG state, budget
-/// spent, and fault-injection counters — is journaled after every
-/// evaluated episode; with `opts.resume`, a valid journal is restored and
-/// the run continues *bitwise identically* to one that was never
-/// interrupted. The journal is deleted on normal completion.
-pub fn rl_search_journaled(
-    ctx: &SearchContext<'_>,
-    cfg: &RlConfig,
-    rng: &mut Rng,
-    opts: &JournalOptions,
-) -> SearchHistory {
-    let n = ctx.space.len();
-    let actions = n + 1; // + STOP
-    let stop = n;
-    let start_token = n; // reuse the STOP row as the start embedding
-    let mut words = ctx.fingerprint_words().to_vec();
-    words.extend([
-        cfg.emb_dim as u64,
-        cfg.hidden as u64,
-        cfg.lr.to_bits() as u64,
-        cfg.baseline_decay.to_bits() as u64,
-    ]);
-    let fingerprint = journal::fingerprint("AutoMC-rl-v3", &words, rng.state());
-    let loaded = if opts.resume {
-        opts.path.as_deref().and_then(|p| journal::load(p, fingerprint))
-    } else {
-        None
-    };
-
-    // Construct the controller unconditionally so a fresh (or
-    // failed-restore) run consumes exactly the same RNG draws as an
-    // un-journaled one.
-    let pre_init_rng = rng.state();
-    let mut ctrl = Controller::new(actions, cfg, rng);
-    let mut history = SearchHistory::new("RL");
-    let mut spent = 0u64;
-    let mut round = 0u64;
-    let mut journal_to = opts.path.as_deref();
-
-    if let Some(j) = loaded {
-        match ctrl.restore_state(&j.state) {
-            Some(()) => {
-                history = j.history;
-                spent = j.spent;
-                round = j.round;
-                *rng = Rng::from_state(j.rng);
-                fault::restore_counters(&j.fault_counters);
-                eprintln!(
-                    "[journal] resumed RL search at episode {round} \
-                     ({spent}/{} units spent)",
-                    ctx.budget.units
-                );
-            }
-            None => {
-                eprintln!(
-                    "warning: journal passed validation but did not decode; \
-                     starting fresh"
-                );
-                *rng = Rng::from_state(pre_init_rng);
-                ctrl = Controller::new(actions, cfg, rng);
-            }
-        }
-    }
-
-    let memo_start = automc_compress::memo::stats();
-    while spent < ctx.budget.units {
-        // ---- Sample an episode. ----------------------------------------
-        ctrl.rnn.reset();
-        let mut h = ctrl.rnn.init_state(1);
-        let mut prev_action = start_token;
+    /// Sample one episode of at most `max_len` strategies, keeping what
+    /// REINFORCE needs in `self.episode`. Action `stop` ends the episode;
+    /// its embedding row doubles as the start token.
+    fn sample(&mut self, cfg: &RlConfig, max_len: usize, stop: usize, rng: &mut Rng) -> Scheme {
+        let actions = stop + 1;
+        self.rnn.reset();
+        self.episode = Episode::default();
+        let mut h = self.rnn.init_state(1);
+        let mut prev_action = stop;
         let mut scheme: Scheme = Vec::new();
-        let mut step_states: Vec<Tensor> = Vec::new(); // h_t per emitted step
-        let mut step_actions: Vec<usize> = Vec::new();
-        let mut step_probs: Vec<Vec<f32>> = Vec::new();
-        for t in 0..ctx.max_len {
-            let x = Tensor::from_slice(&[1, cfg.emb_dim], ctrl.emb.row(prev_action));
-            h = ctrl.rnn.step(&x, &h);
+        for t in 0..max_len {
+            let x = Tensor::from_slice(&[1, cfg.emb_dim], self.emb.row(prev_action));
+            h = self.rnn.step(&x, &h);
             // logits = W · h
             let logits: Vec<f32> = (0..actions)
                 .map(|a| {
-                    ctrl.w
+                    self.w
                         .row(a)
                         .iter()
                         .zip(h.row(0))
@@ -310,97 +189,143 @@ pub fn rl_search_journaled(
                     break;
                 }
             }
-            step_states.push(h.clone());
-            step_actions.push(action);
-            step_probs.push(probs.row(0).to_vec());
+            self.episode.states.push(h.clone());
+            self.episode.actions.push(action);
+            self.episode.probs.push(probs.row(0).to_vec());
             if action == stop {
                 break;
             }
             scheme.push(action);
             prev_action = action;
         }
-        if scheme.is_empty() {
-            // Nothing was evaluated and no budget spent: replaying this
-            // draw after a resume is deterministic, so no journal write.
-            continue;
-        }
+        scheme
+    }
 
-        // ---- Evaluate (supervised). --------------------------------------
-        // A failed episode is logged as infeasible, charged a budget
-        // floor, and yields no REINFORCE update: there is no trustworthy
-        // reward to learn from.
-        journal::record_eval_intent(journal_to, fingerprint);
-        let result = automc_compress::execute_scheme_checked(
-            ctx.base_model,
-            &ctx.base_metrics,
-            &scheme,
-            ctx.space,
-            ctx.search_train,
-            ctx.eval_set,
-            &ctx.exec,
-        );
-        spent += result.charged_units((ctx.eval_set.len() as u64).max(1));
-        let outcome = match result {
-            EvalOutcome::Ok { outcome, .. } => Some(outcome),
-            EvalOutcome::Diverged { .. } => {
-                history.push_failure(scheme.clone(), EvalStatus::Diverged, spent);
-                None
-            }
-            EvalOutcome::Panicked { msg, .. } => {
-                history.push_failure(scheme.clone(), EvalStatus::Panicked(msg), spent);
-                None
-            }
-            EvalOutcome::TimedOut { .. } => {
-                history.push_failure(scheme.clone(), EvalStatus::TimedOut, spent);
-                None
-            }
-        };
-        if let Some(outcome) = outcome {
-            history
-                .records
-                .push(EvalRecord::from_outcome(scheme.clone(), &outcome, spent));
-            // ---- REINFORCE update. -------------------------------------
-            let r = reward(outcome.ar, outcome.pr, ctx.gamma);
-            ctrl.reinforce(
-                cfg,
-                r,
-                &step_states,
-                &step_actions,
-                &step_probs,
-                start_token,
-                stop,
-            );
+    /// One REINFORCE step on the last sampled episode's reward.
+    fn reinforce(&mut self, cfg: &RlConfig, r: f32, stop: usize) {
+        let Episode { states: step_states, actions: step_actions, probs: step_probs } =
+            std::mem::take(&mut self.episode);
+        if !self.baseline_init {
+            self.baseline = r;
+            self.baseline_init = true;
         }
+        let advantage = r - self.baseline;
+        self.baseline = cfg.baseline_decay * self.baseline + (1.0 - cfg.baseline_decay) * r;
+        // Per-step gradient on logits: (softmax − onehot) · advantage.
+        let mut h_grads: Vec<Option<Tensor>> = vec![None; step_actions.len()];
+        for (t, (&action, probs)) in step_actions.iter().zip(&step_probs).enumerate() {
+            let mut glogits = probs.clone();
+            glogits[action] -= 1.0;
+            for g in glogits.iter_mut() {
+                *g *= advantage;
+            }
+            // dW += glogits ⊗ h_t ; dh_t = Wᵀ glogits
+            let mut dh = vec![0.0f32; cfg.hidden];
+            for (a, &g) in glogits.iter().enumerate() {
+                if g == 0.0 || !g.is_finite() {
+                    continue;
+                }
+                let wrow = self.w.row(a);
+                let grow = self.w_grad.row_mut(a);
+                for j in 0..cfg.hidden {
+                    grow[j] += g * step_states[t].row(0)[j];
+                    dh[j] += g * wrow[j];
+                }
+            }
+            h_grads[t] = Some(Tensor::from_slice(&[1, cfg.hidden], &dh));
+        }
+        let dx = self.rnn.backward_through_time(&h_grads);
+        // Embedding-table gradients from the per-step input grads.
+        let mut prev = stop;
+        for (t, dxt) in dx.iter().enumerate() {
+            let row = self.emb_grad.row_mut(prev);
+            for (g, &d) in row.iter_mut().zip(dxt.row(0)) {
+                *g += d;
+            }
+            if t < step_actions.len() && step_actions[t] != stop {
+                prev = step_actions[t];
+            }
+        }
+        let mut params = self.rnn.params_mut();
+        params.push(Param { value: &mut self.w, grad: &mut self.w_grad, weight_decay: false });
+        params.push(Param { value: &mut self.emb, grad: &mut self.emb_grad, weight_decay: false });
+        self.opt.step(&mut params);
+    }
+}
 
-        // ---- Journal the completed episode (atomic write + retry). -----
-        round += 1;
-        journal::checkpoint_round(
-            &mut journal_to,
-            fingerprint,
-            round,
-            spent,
-            rng,
-            &history,
-            ctrl.state_to_bytes(),
-        );
-        if opts.abort_after_rounds.is_some_and(|k| round >= k as u64) {
-            // Simulated crash for the resume-determinism tests.
-            return history;
-        }
-        if crate::progress::report_round(opts, &history, ctx, round, spent, &memo_start) {
-            return history;
+/// The RL learner is the controller (weights, Adam moments and reward
+/// baseline), journaled after every evaluated episode.
+impl Searcher for RlConfig {
+    type State = Controller;
+    const NAME: &'static str = "RL";
+    const TAG: &'static str = "AutoMC-rl-v3";
+
+    fn config_words(&self) -> Vec<u64> {
+        vec![
+            self.emb_dim as u64,
+            self.hidden as u64,
+            self.lr.to_bits() as u64,
+            self.baseline_decay.to_bits() as u64,
+        ]
+    }
+
+    /// Logits over every strategy plus STOP.
+    fn init(&self, ctx: &SearchContext<'_>, rng: &mut Rng) -> Controller {
+        Controller::new(ctx.space.len() + 1, self, rng)
+    }
+
+    /// An empty episode evaluates nothing and spends no budget, so it is
+    /// redrawn without a round boundary.
+    fn propose(
+        &self,
+        ctrl: &mut Controller,
+        ctx: &SearchContext<'_>,
+        rng: &mut Rng,
+    ) -> Option<Vec<Candidate>> {
+        loop {
+            let scheme = ctrl.sample(self, ctx.max_len, ctx.space.len(), rng);
+            if !scheme.is_empty() {
+                return Some(vec![Candidate { scheme, prefix_cost: 0 }]);
+            }
         }
     }
-    if let Some(path) = opts.path.as_deref() {
-        journal::discard(path);
+
+    /// A failed episode yields no REINFORCE update: there is no
+    /// trustworthy reward to learn from.
+    fn observe(
+        &self,
+        ctrl: &mut Controller,
+        ctx: &SearchContext<'_>,
+        _i: usize,
+        _scheme: Scheme,
+        evaluated: Option<(ConvNet, SchemeOutcome)>,
+    ) {
+        if let Some((_, outcome)) = evaluated {
+            ctrl.reinforce(self, reward(outcome.ar, outcome.pr, ctx.gamma), ctx.space.len());
+        }
     }
-    history
+
+    fn snapshot(&self, ctrl: &Controller) -> (Vec<u8>, Vec<NodeSnapshot>) {
+        (ctrl.state_to_bytes(), Vec::new())
+    }
+
+    fn restore(
+        &self,
+        ctrl: &mut Controller,
+        _ctx: &SearchContext<'_>,
+        state: &[u8],
+        _nodes: Vec<NodeSnapshot>,
+    ) -> Option<()> {
+        ctrl.restore_state(state)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::{SearchBudget, SearchContext};
+    use crate::driver::drive;
+    use crate::journal::JournalOptions;
     use automc_compress::{ExecConfig, Metrics, StrategySpace};
     use automc_data::{DatasetSpec, SyntheticKind};
     use automc_models::resnet;
@@ -455,7 +380,7 @@ mod tests {
             gamma: 0.2,
             budget: SearchBudget::new(5_000),
         };
-        let history = rl_search(&ctx, &RlConfig::default(), &mut rng);
+        let history = drive(&ctx, &RlConfig::default(), &mut rng, &JournalOptions::default());
         assert!(!history.records.is_empty());
         assert!(history
             .records

@@ -1,47 +1,75 @@
-//! Crash/resume determinism for the baseline searches (RL, Evolution,
-//! Random), mirroring `resume_determinism.rs` for the progressive search:
-//! a search killed after round `k` and resumed from its journal must
-//! produce a final history bitwise identical to a run that was never
-//! interrupted, at any thread count. Also the regression test that a
-//! resumed run composes with an active fault plan: each planned fault
-//! fires exactly once across the kill/resume boundary.
+//! Crash/resume determinism for all four searches (AutoMC's progressive
+//! search and the RL, Evolution and Random baselines), all run by the one
+//! search driver: a search stopped after round `k` and resumed from its
+//! journal must produce a final history — and therefore a final Pareto
+//! set — bitwise identical to a run that was never interrupted, at any
+//! thread count. A journal whose learner state does not decode must start
+//! a fresh run equal to an un-journaled one, and a journal that cannot be
+//! written must be given up without disturbing the run. Also the
+//! regression test that a resumed run composes with an active fault plan:
+//! each planned fault fires exactly once across the kill/resume boundary.
 
 use automc_compress::{ExecConfig, Metrics, StrategySpace};
+use automc_core::journal::{self, JournalOptions};
 use automc_core::{
-    evolution_search_journaled, random_search_journaled, rl_search_journaled, EvolutionConfig,
-    JournalOptions, RlConfig, SearchBudget, SearchContext, SearchHistory,
+    drive, AutoMc, AutoMcConfig, EvolutionConfig, Random, RlConfig, RoundControl, RoundEvent,
+    RoundHook, RoundObserver, SearchBudget, SearchContext, SearchHistory,
 };
 use automc_data::{DatasetSpec, ImageSet, SyntheticKind};
 use automc_json::ToJson;
 use automc_models::{resnet, ConvNet};
 use automc_tensor::fault::{self, FaultPlan};
 use automc_tensor::{par, rng_from_seed};
-use std::path::PathBuf;
-
-const SEED: u64 = 779;
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 #[derive(Clone, Copy)]
-enum Baseline {
+enum Algo {
+    AutoMc,
     Rl,
     Evolution,
     Random,
 }
 
-impl Baseline {
+impl Algo {
+    const ALL: [Algo; 4] = [Algo::AutoMc, Algo::Rl, Algo::Evolution, Algo::Random];
+
     fn name(self) -> &'static str {
         match self {
-            Baseline::Rl => "rl",
-            Baseline::Evolution => "evolution",
-            Baseline::Random => "random",
+            Algo::AutoMc => "automc",
+            Algo::Rl => "rl",
+            Algo::Evolution => "evolution",
+            Algo::Random => "random",
+        }
+    }
+
+    /// Fixture seed; each run's search RNG starts from `seed() + 1`.
+    fn seed(self) -> u64 {
+        match self {
+            Algo::AutoMc => 777,
+            _ => 779,
+        }
+    }
+
+    /// The round after which the interrupted run stops.
+    fn kill_round(self) -> u64 {
+        match self {
+            Algo::AutoMc => 1,
+            _ => 2,
         }
     }
 }
 
-fn fixture() -> (ConvNet, ImageSet, ImageSet) {
-    let mut rng = rng_from_seed(SEED);
+fn fixture(algo: Algo) -> (ConvNet, ImageSet, ImageSet) {
+    let (train, test) = match algo {
+        Algo::AutoMc => (100, 50),
+        _ => (64, 32),
+    };
+    let mut rng = rng_from_seed(algo.seed());
     let (train_set, eval_set) = DatasetSpec {
-        train: 64,
-        test: 32,
+        train,
+        test,
         noise: 0.25,
         ..DatasetSpec::new(SyntheticKind::Cifar10Like)
     }
@@ -51,7 +79,7 @@ fn fixture() -> (ConvNet, ImageSet, ImageSet) {
 }
 
 fn run(
-    algo: Baseline,
+    algo: Algo,
     base: &ConvNet,
     train_set: &ImageSet,
     eval_set: &ImageSet,
@@ -69,18 +97,51 @@ fn run(
         exec: ExecConfig { pretrain_epochs: 2.0, ..Default::default() },
         max_len: 2,
         gamma: 0.2,
-        budget: SearchBudget::new(2_500),
+        budget: SearchBudget::new(match algo {
+            Algo::AutoMc => 5_000,
+            _ => 2_500,
+        }),
     };
     // Every run restarts the RNG from the same seed: resuming must restore
     // the stream position from the journal, not rely on the caller.
-    let mut rng = rng_from_seed(SEED + 1);
+    let mut rng = rng_from_seed(algo.seed() + 1);
     match algo {
-        Baseline::Rl => rl_search_journaled(&ctx, &RlConfig::default(), &mut rng, opts),
-        Baseline::Evolution => {
-            let cfg = EvolutionConfig { population: 4, ..Default::default() };
-            evolution_search_journaled(&ctx, &cfg, &mut rng, opts)
+        Algo::AutoMc => {
+            let embeddings: Vec<Vec<f32>> = (0..space.len())
+                .map(|i| vec![(i % 97) as f32 / 97.0, (i % 13) as f32 / 13.0, 0.5, 0.1])
+                .collect();
+            let cfg = AutoMcConfig { candidate_sample: 32, ..Default::default() };
+            drive(&ctx, &AutoMc { embeddings, cfg }, &mut rng, opts)
         }
-        Baseline::Random => random_search_journaled(&ctx, &mut rng, opts),
+        Algo::Rl => drive(&ctx, &RlConfig::default(), &mut rng, opts),
+        Algo::Evolution => {
+            let cfg = EvolutionConfig { population: 4, ..Default::default() };
+            drive(&ctx, &cfg, &mut rng, opts)
+        }
+        Algo::Random => drive(&ctx, &Random, &mut rng, opts),
+    }
+}
+
+/// Cancels the run at the end of round `k`: the search returns its
+/// partial history and keeps its journal, as a killed process would.
+struct StopAtRound(u64);
+
+impl RoundObserver for StopAtRound {
+    fn on_round(&self, ev: &RoundEvent) -> RoundControl {
+        if ev.round >= self.0 {
+            RoundControl::Cancel
+        } else {
+            RoundControl::Continue
+        }
+    }
+}
+
+/// Journal to `path` from scratch and stop after `rounds` rounds.
+fn killed_after(path: &Path, rounds: u64) -> JournalOptions {
+    JournalOptions {
+        path: Some(path.to_path_buf()),
+        resume: false,
+        hook: RoundHook::new(Arc::new(StopAtRound(rounds))),
     }
 }
 
@@ -96,33 +157,42 @@ fn journal_path(tag: &str) -> PathBuf {
     ))
 }
 
-fn check_resume_identical(algo: Baseline, threads: usize) {
-    let (base, train_set, eval_set) = fixture();
+/// The run fingerprint a journal on disk was written under.
+fn journal_fingerprint(path: &Path) -> u64 {
+    let payload = journal::load_checksummed(path).expect("journal envelope");
+    let value = automc_json::parse(&payload).expect("journal payload");
+    let hex = value.get("fingerprint").and_then(|f| f.as_str()).expect("fingerprint field");
+    u64::from_str_radix(hex, 16).expect("hex fingerprint")
+}
+
+fn check_resume_identical(algo: Algo, threads: usize) {
+    let (base, train_set, eval_set) = fixture(algo);
     par::with_threads(threads, || {
         // Reference: never interrupted, never journaled.
         let reference = run(algo, &base, &train_set, &eval_set, &JournalOptions::default());
-        assert!(
-            reference.records.len() >= 3,
-            "fixture too small to be interesting ({} evals)",
-            reference.records.len()
-        );
+        match algo {
+            Algo::AutoMc => assert!(
+                reference.records.len() > reference.pareto_indices(0.2).len(),
+                "fixture too small to be interesting"
+            ),
+            _ => assert!(
+                reference.records.len() >= 3,
+                "fixture too small to be interesting ({} evals)",
+                reference.records.len()
+            ),
+        }
 
         let path = journal_path(&format!("{}-t{threads}", algo.name()));
-        let _ = std::fs::remove_file(&path);
+        let _ = fs::remove_file(&path);
 
-        // Interrupted run: dies (simulated) after two rounds, leaving its
-        // journal behind.
+        // Interrupted run: stops after its kill round, leaving its journal
+        // behind.
         let interrupted = run(
             algo,
             &base,
             &train_set,
             &eval_set,
-            &JournalOptions {
-                path: Some(path.clone()),
-                resume: false,
-                abort_after_rounds: Some(2),
-                ..Default::default()
-            },
+            &killed_after(&path, algo.kill_round()),
         );
         assert!(path.exists(), "the crashed run must leave a journal");
         assert!(
@@ -156,38 +226,107 @@ fn check_resume_identical(algo: Baseline, threads: usize) {
         let journaled =
             run(algo, &base, &train_set, &eval_set, &JournalOptions::resuming(path.clone()));
         assert_eq!(fingerprint(&journaled), fingerprint(&reference));
-        let _ = std::fs::remove_file(&path);
+        let _ = fs::remove_file(&path);
     });
 }
 
 #[test]
+fn automc_resume_is_bitwise_identical_single_thread() {
+    check_resume_identical(Algo::AutoMc, 1);
+}
+
+#[test]
+fn automc_resume_is_bitwise_identical_four_threads() {
+    check_resume_identical(Algo::AutoMc, 4);
+}
+
+#[test]
 fn rl_resume_is_bitwise_identical_single_thread() {
-    check_resume_identical(Baseline::Rl, 1);
+    check_resume_identical(Algo::Rl, 1);
 }
 
 #[test]
 fn rl_resume_is_bitwise_identical_four_threads() {
-    check_resume_identical(Baseline::Rl, 4);
+    check_resume_identical(Algo::Rl, 4);
 }
 
 #[test]
 fn evolution_resume_is_bitwise_identical_single_thread() {
-    check_resume_identical(Baseline::Evolution, 1);
+    check_resume_identical(Algo::Evolution, 1);
 }
 
 #[test]
 fn evolution_resume_is_bitwise_identical_four_threads() {
-    check_resume_identical(Baseline::Evolution, 4);
+    check_resume_identical(Algo::Evolution, 4);
 }
 
 #[test]
 fn random_resume_is_bitwise_identical_single_thread() {
-    check_resume_identical(Baseline::Random, 1);
+    check_resume_identical(Algo::Random, 1);
 }
 
 #[test]
 fn random_resume_is_bitwise_identical_four_threads() {
-    check_resume_identical(Baseline::Random, 4);
+    check_resume_identical(Algo::Random, 4);
+}
+
+/// A journal that passes the checksum and fingerprint checks but whose
+/// learner state does not decode starts a fresh run. The driver rewinds
+/// the RNG past the learner's initial draws, so the fresh run equals the
+/// un-journaled reference draw for draw.
+#[test]
+fn undecodable_journal_state_starts_a_fresh_run() {
+    for algo in Algo::ALL {
+        let (base, train_set, eval_set) = fixture(algo);
+        par::with_threads(1, || {
+            let reference = run(algo, &base, &train_set, &eval_set, &JournalOptions::default());
+            let path = journal_path(&format!("{}-undecodable", algo.name()));
+            let _ = fs::remove_file(&path);
+            run(algo, &base, &train_set, &eval_set, &killed_after(&path, algo.kill_round()));
+            let mut j = journal::load(&path, journal_fingerprint(&path))
+                .expect("the stopped run's journal loads");
+            j.state = b"not a learner state".to_vec();
+            journal::save(&path, &j).expect("rewrite the journal");
+
+            let resumed =
+                run(algo, &base, &train_set, &eval_set, &JournalOptions::resuming(path.clone()));
+            assert_eq!(
+                fingerprint(&resumed),
+                fingerprint(&reference),
+                "{}: an undecodable journal must restart the run from scratch",
+                algo.name()
+            );
+            assert!(!path.exists(), "{}: the fresh run completes and deletes it", algo.name());
+        });
+    }
+}
+
+/// A journal path under a regular file cannot be written: the first
+/// checkpoint fails after its retries, journaling is disabled, and the
+/// run finishes with the reference history and no journal.
+#[test]
+fn unwritable_journal_is_given_up_without_changing_the_run() {
+    for algo in Algo::ALL {
+        let (base, train_set, eval_set) = fixture(algo);
+        par::with_threads(1, || {
+            let reference = run(algo, &base, &train_set, &eval_set, &JournalOptions::default());
+            let blocker = journal_path(&format!("{}-blocker", algo.name()));
+            fs::write(&blocker, b"a regular file").expect("create the blocking file");
+            let path = blocker.join("search.journal");
+
+            let history =
+                run(algo, &base, &train_set, &eval_set, &JournalOptions::resuming(path.clone()));
+            assert_eq!(
+                fingerprint(&history),
+                fingerprint(&reference),
+                "{}: a failing journal must not change the run",
+                algo.name()
+            );
+            assert!(!path.exists() && !journal::blob_dir(&path).exists());
+            assert_eq!(fs::read(&blocker).expect("blocking file"), b"a regular file");
+            let _ = fs::remove_file(&blocker);
+        });
+    }
 }
 
 /// Regression test for the fault-counter journaling: with a fault plan
@@ -197,7 +336,7 @@ fn random_resume_is_bitwise_identical_four_threads() {
 /// "already fired" position across the restart.
 #[test]
 fn planned_faults_fire_exactly_once_across_resume() {
-    let (base, train_set, eval_set) = fixture();
+    let (base, train_set, eval_set) = fixture(Algo::Random);
     par::with_threads(1, || {
         let plan = || FaultPlan::parse("panic@eval:2").expect("valid plan");
         let panicked = |h: &SearchHistory| {
@@ -211,29 +350,19 @@ fn planned_faults_fire_exactly_once_across_resume() {
         // panics and is recorded as infeasible.
         fault::install(plan());
         let reference =
-            run(Baseline::Random, &base, &train_set, &eval_set, &JournalOptions::default());
+            run(Algo::Random, &base, &train_set, &eval_set, &JournalOptions::default());
         fault::clear();
         assert_eq!(panicked(&reference), 1, "the plan fires once uninterrupted");
 
         let path = journal_path("fault-once");
-        let _ = std::fs::remove_file(&path);
+        let _ = fs::remove_file(&path);
 
         // Interrupted run: the fault fires on evaluation 2, the run dies
         // (simulated) after evaluation 3 — after the journal recorded the
         // fault counters.
         fault::install(plan());
-        let interrupted = run(
-            Baseline::Random,
-            &base,
-            &train_set,
-            &eval_set,
-            &JournalOptions {
-                path: Some(path.clone()),
-                resume: false,
-                abort_after_rounds: Some(3),
-                ..Default::default()
-            },
-        );
+        let interrupted =
+            run(Algo::Random, &base, &train_set, &eval_set, &killed_after(&path, 3));
         fault::clear();
         assert_eq!(panicked(&interrupted), 1, "the fault fired before the kill");
         assert!(path.exists());
@@ -243,7 +372,7 @@ fn planned_faults_fire_exactly_once_across_resume() {
         // would fire a second time two evaluations into the resumed run.
         fault::install(plan());
         let resumed = run(
-            Baseline::Random,
+            Algo::Random,
             &base,
             &train_set,
             &eval_set,
@@ -260,6 +389,6 @@ fn planned_faults_fire_exactly_once_across_resume() {
             fingerprint(&reference),
             "fault-injected resume must still be bitwise identical"
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = fs::remove_file(&path);
     });
 }

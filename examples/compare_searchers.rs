@@ -9,8 +9,8 @@ use automc::data::{DatasetSpec, SyntheticKind};
 use automc::models::resnet;
 use automc::models::train::{train, Auxiliary, TrainConfig};
 use automc::search::{
-    evolution_search, progressive_search, random_search, rl_search, AutoMcConfig,
-    EvolutionConfig, RlConfig, SearchBudget, SearchContext, SearchHistory,
+    drive, AutoMc, AutoMcConfig, EvolutionConfig, JournalOptions, Random, RlConfig, SearchBudget,
+    SearchContext, SearchHistory,
 };
 use automc::tensor::rng_from_seed;
 
@@ -37,7 +37,8 @@ fn main() {
     let space = StrategySpace::full();
     let gamma = 0.25;
 
-    let make_ctx = |budget: u64| SearchContext {
+    let budget = 10_000u64;
+    let ctx = SearchContext {
         space: &space,
         base_model: &base,
         base_metrics,
@@ -48,7 +49,6 @@ fn main() {
         gamma,
         budget: SearchBudget::new(budget),
     };
-    let budget = 10_000u64;
 
     let report = |history: &SearchHistory| {
         let evals = history.records.len();
@@ -74,12 +74,10 @@ fn main() {
         .collect();
 
     println!("\nequal budget: {budget} cost units\n");
-    let h = progressive_search(&make_ctx(budget), embeddings, &AutoMcConfig::default(), &mut rng);
-    report(&h);
-    let h = evolution_search(&make_ctx(budget), &EvolutionConfig::default(), &mut rng);
-    report(&h);
-    let h = rl_search(&make_ctx(budget), &RlConfig::default(), &mut rng);
-    report(&h);
-    let h = random_search(&make_ctx(budget), &mut rng);
-    report(&h);
+    let opts = JournalOptions::default();
+    let automc = AutoMc { embeddings, cfg: AutoMcConfig::default() };
+    report(&drive(&ctx, &automc, &mut rng, &opts));
+    report(&drive(&ctx, &EvolutionConfig::default(), &mut rng, &opts));
+    report(&drive(&ctx, &RlConfig::default(), &mut rng, &opts));
+    report(&drive(&ctx, &Random, &mut rng, &opts));
 }

@@ -309,6 +309,7 @@ echo "chaos soak smoke passed"
 echo "== recovery-path lint =="
 lint_fail=0
 for f in crates/tensor/src/fault.rs crates/core/src/journal.rs \
+         crates/core/src/driver.rs \
          crates/bench/src/cache.rs crates/compress/src/memo.rs \
          crates/compress/src/store.rs crates/bench/src/orchestrator.rs \
          crates/bench/src/transport.rs crates/json/src/wire.rs \

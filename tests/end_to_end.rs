@@ -9,7 +9,7 @@ use automc::knowledge::{generate_experience, learn_embeddings, EmbeddingConfig, 
 use automc::models::train::{train, Auxiliary, TrainConfig};
 use automc::models::{resnet, ConvNet, ModelKind};
 use automc::search::{
-    progressive_search, random_search, AutoMcConfig, SearchBudget, SearchContext,
+    drive, AutoMc, AutoMcConfig, JournalOptions, Random, SearchBudget, SearchContext,
 };
 use automc::tensor::rng_from_seed;
 
@@ -101,7 +101,8 @@ fn knowledge_pipeline_feeds_progressive_search() {
         gamma: 0.2,
         budget: SearchBudget::new(8_000),
     };
-    let history = progressive_search(&ctx, embeddings, &AutoMcConfig::default(), &mut rng);
+    let automc = AutoMc { embeddings, cfg: AutoMcConfig::default() };
+    let history = drive(&ctx, &automc, &mut rng, &JournalOptions::default());
     assert!(!history.records.is_empty());
     let best = history.best(0.2);
     assert!(best.is_some(), "search should find a feasible scheme");
@@ -129,8 +130,9 @@ fn progressive_beats_or_matches_random_on_tiny_budget() {
     };
     let embeddings: Vec<Vec<f32>> =
         (0..space.len()).map(|i| vec![space.spec(i).ratio(), 0.3, 0.1]).collect();
-    let autos = progressive_search(&ctx, embeddings, &AutoMcConfig::default(), &mut rng);
-    let rand = random_search(&ctx, &mut rng);
+    let automc = AutoMc { embeddings, cfg: AutoMcConfig::default() };
+    let autos = drive(&ctx, &automc, &mut rng, &JournalOptions::default());
+    let rand = drive(&ctx, &Random, &mut rng, &JournalOptions::default());
     assert!(
         autos.records.len() >= rand.records.len(),
         "progressive search should afford at least as many evaluations: {} vs {}",
