@@ -8,7 +8,8 @@
 //! batch-64 eval forward, where per-call overhead is not diluted by big
 //! shapes — and writes best-of-N timings to `BENCH_kernels.json` at the
 //! repo root for the `kernel_gate` bin (check.sh's kernels stage) to
-//! compare against the committed `BENCH_baseline.json`.
+//! compare against the committed `BENCH_baseline.json`. The report names
+//! the kernel instances that ran (`"isa"`: `"avx2"` or `"baseline"`).
 //!
 //! Modes:
 //! * default — full run: criterion display benches + 31-round timings.
@@ -21,7 +22,7 @@ use automc_models::{resnet, ConvNet};
 use automc_tensor::nn::{Conv2d, Layer};
 use automc_tensor::optim::{Optimizer, Sgd, SgdConfig};
 use automc_tensor::par::{current_threads, with_threads};
-use automc_tensor::{loss, matmul, rng_from_seed, Tensor};
+use automc_tensor::{isa, loss, matmul, rng_from_seed, Tensor};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -88,11 +89,27 @@ fn bench_svd(c: &mut Criterion) {
     });
 }
 
-/// Wall-clock of one run of `f`, in nanoseconds.
-fn time_ns(f: impl FnOnce()) -> u64 {
+/// Wall-clock per call of `calls` back-to-back calls of `f`, in
+/// nanoseconds.
+fn time_ns(calls: u32, mut f: impl FnMut()) -> u64 {
     let t = Instant::now();
-    f();
-    t.elapsed().as_nanos() as u64
+    for _ in 0..calls {
+        f();
+    }
+    (t.elapsed().as_nanos() / u128::from(calls)) as u64
+}
+
+/// Calls per timing sample, fixed per row. A row whose call takes under
+/// ~200 µs at one thread is timed as several back-to-back calls, so one
+/// timer tick or preemption weighs less on a sample; the report gives the
+/// time per call either way.
+fn calls_per_sample(kernel: &str) -> u32 {
+    match kernel {
+        "matmul_48" => 16,
+        "conv3x3_s3_b32_fwd" => 8,
+        "conv3x3_b8_fwd" | "conv3x3_s3_b32_bwd" => 2,
+        _ => 1,
+    }
 }
 
 /// Square matmul sizes timed in both thread modes. 48 sits below the
@@ -207,6 +224,8 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     // per *round* (interleaved, so a noise burst degrades all pairs
     // instead of poisoning one pair's whole block), and the reported
     // statistic is the best (minimum) sample — the least-disturbed run.
+    // A sample of a short row spans several back-to-back calls
+    // (`calls_per_sample`); `best_ns` is per call.
     let test_mode = std::env::args().any(|arg| arg == "--test");
     let iters = if test_mode {
         3
@@ -231,37 +250,35 @@ fn bench_parallel_kernels(c: &mut Criterion) {
         samples.push(("resnet20_w4_b32_train_step".to_string(), tag, eff, Vec::new()));
         samples.push(("resnet20_w4_b64_eval_fwd".to_string(), tag, eff, Vec::new()));
     }
+    let calls: Vec<u32> = samples.iter().map(|(kernel, ..)| calls_per_sample(kernel)).collect();
     for _ in 0..iters {
         let mut round: Vec<u64> = Vec::with_capacity(samples.len());
         {
             let (_, a, b) = &mats[1]; // the 192 pair
-            round.push(time_ns(|| drop(black_box(reference_ikj(black_box(a), black_box(b))))));
+            round.push(time_ns(calls[0], || {
+                drop(black_box(reference_ikj(black_box(a), black_box(b))))
+            }));
         }
         for (_, threads) in [("t1", 1usize), ("auto", 0)] {
-            let run = |f: &mut dyn FnMut() -> u64| -> u64 {
-                if threads == 1 {
-                    with_threads(1, || f())
+            // Time the next row (rows are pushed in slot order).
+            let time = |round: &mut Vec<u64>, f: &mut dyn FnMut()| {
+                let calls = calls[round.len()];
+                let ns = if threads == 1 {
+                    with_threads(1, || time_ns(calls, &mut *f))
                 } else {
-                    f()
-                }
+                    time_ns(calls, f)
+                };
+                round.push(ns);
             };
             for (_, a, b) in &mats {
-                round.push(
-                    run(&mut || time_ns(|| drop(black_box(matmul(black_box(a), black_box(b)))))),
-                );
+                time(&mut round, &mut || drop(black_box(matmul(black_box(a), black_box(b)))));
             }
-            round.push(run(&mut || time_ns(|| drop(black_box(conv.forward(black_box(&x), true))))));
-            round.push(run(&mut || time_ns(|| drop(black_box(conv.backward(black_box(&g)))))));
-            round.push(run(&mut || {
-                time_ns(|| drop(black_box(conv_s3.forward(black_box(&x_s3), true))))
-            }));
-            round.push(run(&mut || {
-                time_ns(|| drop(black_box(conv_s3.backward(black_box(&g_s3)))))
-            }));
-            round.push(run(&mut || time_ns(|| train_step(&mut net, &mut opt, &x_train, &labels))));
-            round.push(run(&mut || {
-                time_ns(|| drop(black_box(net.forward(black_box(&x_eval), false))))
-            }));
+            time(&mut round, &mut || drop(black_box(conv.forward(black_box(&x), true))));
+            time(&mut round, &mut || drop(black_box(conv.backward(black_box(&g)))));
+            time(&mut round, &mut || drop(black_box(conv_s3.forward(black_box(&x_s3), true))));
+            time(&mut round, &mut || drop(black_box(conv_s3.backward(black_box(&g_s3)))));
+            time(&mut round, &mut || train_step(&mut net, &mut opt, &x_train, &labels));
+            time(&mut round, &mut || drop(black_box(net.forward(black_box(&x_eval), false))));
         }
         for (slot, ns) in samples.iter_mut().zip(&round) {
             slot.3.push(*ns);
@@ -269,12 +286,14 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     }
     let entries: Vec<_> = samples
         .iter()
-        .map(|(kernel, mode, threads, ns)| {
+        .zip(&calls)
+        .map(|((kernel, mode, threads, ns), &calls)| {
             let best = ns.iter().copied().min().unwrap_or(0);
             obj(vec![
                 ("kernel", kernel.as_str().to_json()),
                 ("mode", (*mode).to_json()),
                 ("threads", (*threads).to_json()),
+                ("calls_per_sample", calls.to_json()),
                 ("best_ns", best.to_json()),
             ])
         })
@@ -282,6 +301,7 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     let report = obj(vec![
         ("bench", "parallel_kernels".to_json()),
         ("iters", iters.to_json()),
+        ("isa", isa::active().to_json()),
         ("results", automc_json::Value::Arr(entries)),
     ]);
     // Repo root, where the committed BENCH_baseline.json lives.

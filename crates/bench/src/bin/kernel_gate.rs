@@ -23,6 +23,13 @@
 //!   [`MIN_MATMUL_SPEEDUP`] faster than the pre-blocked `ikj` reference
 //!   measured in the same run.
 //!
+//! Both reports name the kernel instances they ran (`"isa"`: `"avx2"` or
+//! `"baseline"`, picked from the CPU at run time). Timings of different
+//! instances are not comparable, so when the two differ the gate fails
+//! with one message asking for a rebase on this host instead of checking
+//! any row. A baseline recorded before the field existed ran the baseline
+//! instances' code, but says nothing, so it is compared as before.
+//!
 //! `AUTOMC_BENCH_REBASE=1` rewrites the baseline from the current
 //! results instead of checking (keeping the informational `pre_pr`
 //! section), for use after an intentional kernel change.
@@ -86,6 +93,14 @@ fn medians(report: &Value) -> BTreeMap<(String, String), f64> {
     out
 }
 
+/// What a report without an `"isa"` field reads as.
+const UNRECORDED: &str = "unrecorded";
+
+/// The kernel instances a bench report ran.
+fn isa(report: &Value) -> &str {
+    report.get("isa").and_then(Value::as_str).unwrap_or(UNRECORDED)
+}
+
 fn reference(meds: &BTreeMap<(String, String), f64>, what: &str) -> f64 {
     match meds.get(&(REF_KEY.0.to_string(), REF_KEY.1.to_string())) {
         Some(&ns) if ns > 0.0 => ns,
@@ -128,6 +143,7 @@ fn main() {
                 "iters",
                 current.get("iters").cloned().unwrap_or_else(|| 0.to_json()),
             ),
+            ("isa", isa(&current).to_json()),
             (
                 "results",
                 current.get("results").cloned().unwrap_or(Value::Arr(vec![])),
@@ -146,6 +162,16 @@ fn main() {
     }
 
     let baseline = load(&baseline_path);
+    let (cur_isa, base_isa) = (isa(&current), isa(&baseline));
+    println!("kernel_gate: kernel instances: {cur_isa} now, {base_isa} in the baseline");
+    if base_isa != UNRECORDED && cur_isa != base_isa {
+        eprintln!(
+            "kernel_gate: FAIL: this run used the {cur_isa} kernel instances but the baseline \
+             was measured with the {base_isa} ones; rebase on this host with \
+             AUTOMC_BENCH_REBASE=1 cargo run --release --offline -p automc-bench --bin kernel_gate"
+        );
+        exit(1);
+    }
     let base = medians(&baseline);
     let cur_ref = reference(&cur, "current run");
     let base_ref = reference(&base, "baseline");

@@ -1,5 +1,7 @@
 use automc_tensor::linalg;
-use automc_tensor::nn::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2};
+use automc_tensor::nn::{
+    relu_mask_grad, relu_with_mask, BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2,
+};
 use automc_tensor::optim::Param;
 use automc_tensor::{Rng, Tensor};
 
@@ -265,13 +267,11 @@ impl Layer for ConvBnRelu {
                 point.forward(&mid, train)
             }
         };
-        let bn_out = self.bn.forward(&conv_out, train);
+        let mut out = self.bn.forward(&conv_out, train);
         if self.with_relu {
-            self.relu_mask = Some(bn_out.data().iter().map(|&v| v > 0.0).collect());
-            bn_out.map(|v| v.max(0.0))
-        } else {
-            bn_out
+            self.relu_mask = Some(relu_with_mask(&mut out));
         }
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -281,16 +281,11 @@ impl Layer for ConvBnRelu {
                 .as_ref()
                 .expect("ConvBnRelu::backward before forward");
             let mut g = grad_out.clone();
-            for (v, &keep) in g.data_mut().iter_mut().zip(mask) {
-                if !keep {
-                    *v = 0.0;
-                }
-            }
-            g
+            relu_mask_grad(&mut g, mask);
+            self.bn.backward(&g)
         } else {
-            grad_out.clone()
+            self.bn.backward(grad_out)
         };
-        let g = self.bn.backward(&g);
         match &mut self.kernel {
             ConvKernel::Full(c) => c.backward(&g),
             ConvKernel::Factored { basis, point, .. } => {
@@ -382,14 +377,13 @@ impl BasicBlock {
 
 impl Layer for BasicBlock {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let main = self.c2.forward(&self.c1.forward(x, train), train);
-        let skip = match &mut self.shortcut {
-            Some(s) => s.forward(x, train),
-            None => x.clone(),
-        };
-        let sum = main.add(&skip);
-        self.relu_mask = Some(sum.data().iter().map(|&v| v > 0.0).collect());
-        sum.map(|v| v.max(0.0))
+        let mut sum = self.c2.forward(&self.c1.forward(x, train), train);
+        match &mut self.shortcut {
+            Some(s) => sum.add_assign(&s.forward(x, train)),
+            None => sum.add_assign(x),
+        }
+        self.relu_mask = Some(relu_with_mask(&mut sum));
+        sum
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -398,17 +392,13 @@ impl Layer for BasicBlock {
             .as_ref()
             .expect("BasicBlock::backward before forward");
         let mut g = grad_out.clone();
-        for (v, &keep) in g.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
+        relu_mask_grad(&mut g, mask);
+        let mut g_main = self.c1.backward(&self.c2.backward(&g));
+        match &mut self.shortcut {
+            Some(s) => g_main.add_assign(&s.backward(&g)),
+            None => g_main.add_assign(&g),
         }
-        let g_main = self.c1.backward(&self.c2.backward(&g));
-        let g_skip = match &mut self.shortcut {
-            Some(s) => s.backward(&g),
-            None => g,
-        };
-        g_main.add(&g_skip)
+        g_main
     }
 
     fn params_mut(&mut self) -> Vec<Param<'_>> {

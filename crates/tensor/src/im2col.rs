@@ -13,6 +13,7 @@
 //! padded plane. A 1×1 / stride-1 / pad-0 convolution skips padding and
 //! its backward skips the scatter — its column matrix *is* the image.
 
+use crate::isa::multiversion;
 use crate::matmul::NR;
 use crate::Tensor;
 use std::cell::Cell;
@@ -66,6 +67,18 @@ fn with_padded<R>(
     buf.clear();
     buf.resize(g.in_c * ph * pw, 0.0);
     if let Some(img) = img {
+        pad_planes(img, g, &mut buf);
+    }
+    let out = f(&mut buf, ph, pw);
+    PADDED.with(|c| c.set(buf));
+    out
+}
+
+multiversion! {
+    /// Copy the `in_c` planes of `img` into the interior of the zeroed
+    /// padded planes `buf`.
+    fn pad_planes(img: &[f32], g: ConvGeom, buf: &mut [f32]) {
+        let (ph, pw) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
         for c in 0..g.in_c {
             for y in 0..g.in_h {
                 let at = (c * ph + y + g.pad) * pw + g.pad;
@@ -73,9 +86,19 @@ fn with_padded<R>(
             }
         }
     }
-    let out = f(&mut buf, ph, pw);
-    PADDED.with(|c| c.set(buf));
-    out
+
+    /// Copy the interior of `in_c` padded planes back out to `img`, the
+    /// adjoint of [`pad_planes`]'s placement (col2im's crop).
+    fn crop_planes(planes: &[f32], g: ConvGeom, img: &mut [f32]) {
+        let (ph, pw) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
+        for c in 0..g.in_c {
+            for y in 0..g.in_h {
+                let at = (c * ph + y + g.pad) * pw + g.pad;
+                let row = (c * g.in_h + y) * g.in_w;
+                copy_run(&mut img[row..row + g.in_w], &planes[at..]);
+            }
+        }
+    }
 }
 
 /// Copy a run of `dst.len()` floats from the front of `src`. Output rows
@@ -176,55 +199,57 @@ impl PanelRuns {
     }
 }
 
-/// Gather source rows into NR-wide panels laid out like `pack_b_panels`
-/// output: panel `p`, row `r` holds `out[(p·k + r)·NR + lane]` with `k =
-/// row_off.len()`, where each run of panel `p` reads `src[row_off[r] +
-/// run.off + i·step]` into lane `run.lane + i`. Lanes past the last
-/// column are zeroed.
-pub(crate) fn fill_panels(
-    src: &[f32],
-    map: &PanelRuns,
-    row_off: &[usize],
-    step: usize,
-    out: &mut [f32],
-) {
-    let k = row_off.len();
-    debug_assert_eq!(out.len(), map.panels() * k * NR);
-    if k == 0 {
-        return;
-    }
-    for (p, dst) in out.chunks_exact_mut(k * NR).enumerate() {
-        let runs = map.panel(p);
-        if let [r0] = runs {
-            if r0.len == NR && step == 1 {
-                // One unbroken source run fills the panel: a
-                // constant-width copy per row.
-                for (lanes, &ro) in dst.chunks_exact_mut(NR).zip(row_off) {
-                    lanes.copy_from_slice(&src[ro + r0.off..ro + r0.off + NR]);
-                }
-                continue;
-            }
+multiversion! {
+    /// Gather source rows into NR-wide panels laid out like
+    /// `pack_b_panels` output: panel `p`, row `r` holds `out[(p·k + r)·NR
+    /// + lane]` with `k = row_off.len()`, where each run of panel `p`
+    /// reads `src[row_off[r] + run.off + i·step]` into lane `run.lane +
+    /// i`. Lanes past the last column are zeroed.
+    pub(crate) fn fill_panels(
+        src: &[f32],
+        map: &PanelRuns,
+        row_off: &[usize],
+        step: usize,
+        out: &mut [f32],
+    ) {
+        let k = row_off.len();
+        debug_assert_eq!(out.len(), map.panels() * k * NR);
+        if k == 0 {
+            return;
         }
-        // Otherwise gather lane by lane: short runs and strided reads
-        // cost one load per lane instead of a copy call per run.
-        let mut offs = [0usize; NR];
-        for run in runs {
-            for (i, o) in offs[run.lane..run.lane + run.len].iter_mut().enumerate() {
-                *o = run.off + i * step;
+        for (p, dst) in out.chunks_exact_mut(k * NR).enumerate() {
+            let runs = map.panel(p);
+            if let [r0] = runs {
+                if r0.len == NR && step == 1 {
+                    // One unbroken source run fills the panel: a
+                    // constant-width copy per row.
+                    for (lanes, &ro) in dst.chunks_exact_mut(NR).zip(row_off) {
+                        lanes.copy_from_slice(&src[ro + r0.off..ro + r0.off + NR]);
+                    }
+                    continue;
+                }
             }
-        }
-        let used = runs.last().map_or(0, |r| r.lane + r.len);
-        for (lanes, &ro) in dst.chunks_exact_mut(NR).zip(row_off) {
-            let s = &src[ro..];
-            if used == NR {
-                for (d, &o) in lanes.iter_mut().zip(&offs) {
-                    *d = s[o];
+            // Otherwise gather lane by lane: short runs and strided reads
+            // cost one load per lane instead of a copy call per run.
+            let mut offs = [0usize; NR];
+            for run in runs {
+                for (i, o) in offs[run.lane..run.lane + run.len].iter_mut().enumerate() {
+                    *o = run.off + i * step;
                 }
-            } else {
-                for (d, &o) in lanes[..used].iter_mut().zip(&offs) {
-                    *d = s[o];
+            }
+            let used = runs.last().map_or(0, |r| r.lane + r.len);
+            for (lanes, &ro) in dst.chunks_exact_mut(NR).zip(row_off) {
+                let s = &src[ro..];
+                if used == NR {
+                    for (d, &o) in lanes.iter_mut().zip(&offs) {
+                        *d = s[o];
+                    }
+                } else {
+                    for (d, &o) in lanes[..used].iter_mut().zip(&offs) {
+                        *d = s[o];
+                    }
+                    lanes[used..].fill(0.0);
                 }
-                lanes[used..].fill(0.0);
             }
         }
     }
@@ -334,32 +359,34 @@ pub(crate) fn im2col_into(img: &[f32], g: ConvGeom, cols: &mut [f32]) {
     }
 }
 
-/// Accumulate columns into `in_c` padded planes of `ph×pw` (the adjoint of
-/// [`lower_rows`]). Rows run in ascending `(c, ky, kx)` order and one row
-/// touches each pixel at most once, so every pixel sums its contributions
-/// in the same order as a per-element scatter.
-fn scatter_rows(cols: &[f32], g: ConvGeom, ph: usize, pw: usize, planes: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let mut row = 0usize;
-    for c in 0..g.in_c {
-        let plane = &mut planes[c * ph * pw..(c + 1) * ph * pw];
-        for ky in 0..g.kh {
-            for kx in 0..g.kw {
-                let src = &cols[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let s = &src[oy * ow..(oy + 1) * ow];
-                    let run = &mut plane[(oy * g.stride + ky) * pw + kx..];
-                    if g.stride == 1 {
-                        for (p, &v) in run[..ow].iter_mut().zip(s) {
-                            *p += v;
-                        }
-                    } else {
-                        for (p, &v) in run.iter_mut().step_by(g.stride).zip(s) {
-                            *p += v;
+multiversion! {
+    /// Accumulate columns into `in_c` padded planes of `ph×pw` (the
+    /// adjoint of [`lower_rows`]). Rows run in ascending `(c, ky, kx)`
+    /// order and one row touches each pixel at most once, so every pixel
+    /// sums its contributions in the same order as a per-element scatter.
+    fn scatter_rows(cols: &[f32], g: ConvGeom, ph: usize, pw: usize, planes: &mut [f32]) {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let mut row = 0usize;
+        for c in 0..g.in_c {
+            let plane = &mut planes[c * ph * pw..(c + 1) * ph * pw];
+            for ky in 0..g.kh {
+                for kx in 0..g.kw {
+                    let src = &cols[row * oh * ow..(row + 1) * oh * ow];
+                    for oy in 0..oh {
+                        let s = &src[oy * ow..(oy + 1) * ow];
+                        let run = &mut plane[(oy * g.stride + ky) * pw + kx..];
+                        if g.stride == 1 {
+                            for (p, &v) in run[..ow].iter_mut().zip(s) {
+                                *p += v;
+                            }
+                        } else {
+                            for (p, &v) in run.iter_mut().step_by(g.stride).zip(s) {
+                                *p += v;
+                            }
                         }
                     }
+                    row += 1;
                 }
-                row += 1;
             }
         }
     }
@@ -377,13 +404,7 @@ pub(crate) fn col2im_into(cols: &[f32], g: ConvGeom, img: &mut [f32]) {
     }
     with_padded(None, g, |planes, ph, pw| {
         scatter_rows(cols, g, ph, pw, planes);
-        for c in 0..g.in_c {
-            for y in 0..g.in_h {
-                let at = (c * ph + y + g.pad) * pw + g.pad;
-                let row = (c * g.in_h + y) * g.in_w;
-                copy_run(&mut img[row..row + g.in_w], &planes[at..]);
-            }
-        }
+        crop_planes(planes, g, img);
     });
 }
 

@@ -6,7 +6,9 @@
 //! paper's compression strategies (pruning, knowledge distillation, low-rank
 //! approximation) all require *real* gradient-based training — fine-tuning a
 //! pruned network, distilling into a thinner student, training with sparsity
-//! regularisation. Everything here is implemented from scratch in safe Rust:
+//! regularisation. Everything here is implemented from scratch in Rust, with
+//! `unsafe` confined to the worker pool ([`par`]) and the run-time choice
+//! between the baseline and AVX2 instances of the hot loops ([`isa`]):
 //!
 //! * [`Tensor`] — an owned, dense, row-major `f32` tensor with shape/stride
 //!   bookkeeping and the linear-algebra kernels the layers need (blocked
@@ -51,6 +53,7 @@ mod tensor;
 
 pub mod fault;
 pub mod init;
+pub mod isa;
 pub mod linalg;
 pub mod loss;
 pub mod nn;

@@ -53,6 +53,7 @@
 //! with no pool hand-off or chunk bookkeeping at all.
 
 use crate::im2col::{copy_run, PanelRuns};
+use crate::isa::multiversion;
 use crate::{par, Tensor};
 
 /// Microtile rows: output rows accumulated per microkernel invocation.
@@ -307,54 +308,56 @@ fn for_each_tile_row(
     }
 }
 
-/// Compute rows `first_row..first_row+rows` (`first_row` MR-aligned) of
-/// a packed contraction into `out` (a block of whole `n`-wide rows).
-/// Shared by the `A·B` and `Aᵀ·B` drivers — only the A packing
-/// ([`pack_a_tiles`] or [`pack_at_tiles`]) differs.
-fn gemm_packed_rows(
-    apack: &[f32],
-    bpack: &[f32],
-    kc: usize,
-    n: usize,
-    out: &mut [f32],
-    first_row: usize,
-    epi: Epilogue<'_>,
-) {
-    if n == 0 {
-        return;
-    }
-    let rows = out.len() / n;
-    for_each_tile_row(apack, bpack, kc, rows, first_row, n.div_ceil(NR), |row, panel, acc| {
-        let j0 = panel * NR;
-        let w = NR.min(n - j0);
-        epi.write(first_row + row, &acc[..w], &mut out[row * n + j0..row * n + j0 + w]);
-    });
-}
-
-/// All `m` rows of `C = A·B` for one column group, serial: `a_tiles` is A
-/// packed by [`pack_a_tiles`] or [`pack_at_tiles`], `bpack` the group's
-/// B panels (contraction length `kc`), and `runs` maps each panel's
-/// lanes to `out`: row `i` of a run lands at `out[i·row_stride + run.off
-/// ..][..run.len]` through the epilogue. This is how a conv writes each
-/// batch item's output rows from one GEMM over the whole group.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_panel_runs(
-    a_tiles: &[f32],
-    bpack: &[f32],
-    kc: usize,
-    m: usize,
-    runs: &PanelRuns,
-    row_stride: usize,
-    out: &mut [f32],
-    epi: Epilogue<'_>,
-) {
-    for_each_tile_row(a_tiles, bpack, kc, m, 0, runs.panels(), |row, panel, acc| {
-        let base = row * row_stride;
-        for run in runs.panel(panel) {
-            let dst = &mut out[base + run.off..base + run.off + run.len];
-            epi.write(row, &acc[run.lane..run.lane + run.len], dst);
+multiversion! {
+    /// Compute rows `first_row..first_row+rows` (`first_row` MR-aligned)
+    /// of a packed contraction into `out` (a block of whole `n`-wide
+    /// rows). Shared by the `A·B` and `Aᵀ·B` drivers — only the A packing
+    /// ([`pack_a_tiles`] or [`pack_at_tiles`]) differs.
+    fn gemm_packed_rows(
+        apack: &[f32],
+        bpack: &[f32],
+        kc: usize,
+        n: usize,
+        out: &mut [f32],
+        first_row: usize,
+        epi: Epilogue<'_>,
+    ) {
+        if n == 0 {
+            return;
         }
-    });
+        let rows = out.len() / n;
+        for_each_tile_row(apack, bpack, kc, rows, first_row, n.div_ceil(NR), |row, panel, acc| {
+            let j0 = panel * NR;
+            let w = NR.min(n - j0);
+            epi.write(first_row + row, &acc[..w], &mut out[row * n + j0..row * n + j0 + w]);
+        });
+    }
+
+    /// All `m` rows of `C = A·B` for one column group, serial: `a_tiles` is
+    /// A packed by [`pack_a_tiles`] or [`pack_at_tiles`], `bpack` the
+    /// group's B panels (contraction length `kc`), and `runs` maps each
+    /// panel's lanes to `out`: row `i` of a run lands at
+    /// `out[i·row_stride + run.off..][..run.len]` through the epilogue.
+    /// This is how a conv writes each batch item's output rows from one
+    /// GEMM over the whole group.
+    pub(crate) fn gemm_panel_runs(
+        a_tiles: &[f32],
+        bpack: &[f32],
+        kc: usize,
+        m: usize,
+        runs: &PanelRuns,
+        row_stride: usize,
+        out: &mut [f32],
+        epi: Epilogue<'_>,
+    ) {
+        for_each_tile_row(a_tiles, bpack, kc, m, 0, runs.panels(), |row, panel, acc| {
+            let base = row * row_stride;
+            for run in runs.panel(panel) {
+                let dst = &mut out[base + run.off..base + run.off + run.len];
+                epi.write(row, &acc[run.lane..run.lane + run.len], dst);
+            }
+        });
+    }
 }
 
 /// Run a packed contraction (`Epilogue::Store`) writing whole `n`-wide
@@ -501,7 +504,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 /// depends only on the vector length — never on threading or
 /// partitioning — which is what keeps `matmul_a_bt` bitwise reproducible
 /// at any thread count.
-#[inline]
+#[inline(always)]
 fn dot4(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; 4];
@@ -520,15 +523,17 @@ fn dot4(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Rows `first_row ..` of `C = A·Bᵀ` into `out` (a block of whole rows).
-/// Both operand rows are contiguous, so each output element is one
-/// [`dot4`] over hot cache lines.
-fn a_bt_rows(ad: &[f32], bd: &[f32], out: &mut [f32], first_row: usize, n: usize, k: usize) {
-    for (r, c_row) in out.chunks_exact_mut(k).enumerate() {
-        let i = first_row + r;
-        let a_row = &ad[i * n..(i + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            *cv = dot4(a_row, &bd[j * n..(j + 1) * n]);
+multiversion! {
+    /// Rows `first_row ..` of `C = A·Bᵀ` into `out` (a block of whole
+    /// rows). Both operand rows are contiguous, so each output element is
+    /// one [`dot4`] over hot cache lines.
+    fn a_bt_rows(ad: &[f32], bd: &[f32], out: &mut [f32], first_row: usize, n: usize, k: usize) {
+        for (r, c_row) in out.chunks_exact_mut(k).enumerate() {
+            let i = first_row + r;
+            let a_row = &ad[i * n..(i + 1) * n];
+            for (j, cv) in c_row.iter_mut().enumerate() {
+                *cv = dot4(a_row, &bd[j * n..(j + 1) * n]);
+            }
         }
     }
 }
@@ -615,6 +620,8 @@ struct WeightGrad<'a> {
     /// group's panels (row 0): `coff[g·ohw + j]`.
     coff: &'a [usize],
     n: usize,
+    /// Column rows (the contraction's `k`).
+    k: usize,
     blocks: usize,
     ohw: usize,
     group: usize,
@@ -657,6 +664,7 @@ fn weight_grad_tiles<const V: usize, const R: usize>(
         cols,
         coff: &coff,
         n,
+        k,
         blocks,
         ohw,
         group,
@@ -665,27 +673,37 @@ fn weight_grad_tiles<const V: usize, const R: usize>(
     let rows = blocks * k;
     let tasks = row_tasks(rows, R, 2 * n * m * k * ohw, TASK_FLOPS_A_BT, par::current_threads());
     let chunk = rows.div_ceil(tasks).next_multiple_of(R);
-    par::par_chunks_mut(&mut acc, chunk * V, |ci, dst| {
-        let first = ci * chunk;
+    par::par_chunks_mut(&mut acc, chunk * V, |ci, dst| weight_grad_rows::<V, R>(&p, ci * chunk, dst));
+    for (o, row) in grad.chunks_exact_mut(k).enumerate() {
+        for (r, x) in row.iter_mut().enumerate() {
+            *x = acc[((o / V) * k + r) * V + o % V];
+        }
+    }
+}
+
+multiversion! {
+    /// The tiles of tile-order rows `first..` of the gradient, held in
+    /// `dst` (`V` floats per row), each accumulated over every item.
+    fn weight_grad_rows<const V: usize, const R: usize>(
+        p: &WeightGrad<'_>,
+        first: usize,
+        dst: &mut [f32],
+    ) {
+        let k = p.k;
         let end = first + dst.len() / V;
         let mut row = first;
         while row < end {
             let (blk, r) = (row / k, row % k);
             let out = &mut dst[(row - first) * V..];
-            // A tile never straddles a channel block; short ones go row
-            // by row.
+            // A tile never straddles a channel block; short ones go row by
+            // row.
             if R.min(end - row).min(k - r) == R {
-                weight_grad_tile::<V, R>(&p, blk, r, &mut out[..R * V]);
+                weight_grad_tile::<V, R>(p, blk, r, &mut out[..R * V]);
                 row += R;
             } else {
-                weight_grad_tile::<V, 1>(&p, blk, r, &mut out[..V]);
+                weight_grad_tile::<V, 1>(p, blk, r, &mut out[..V]);
                 row += 1;
             }
-        }
-    });
-    for (o, row) in grad.chunks_exact_mut(k).enumerate() {
-        for (r, x) in row.iter_mut().enumerate() {
-            *x = acc[((o / V) * k + r) * V + o % V];
         }
     }
 }

@@ -1,5 +1,36 @@
+use crate::isa::multiversion;
 use crate::nn::Layer;
 use crate::Tensor;
+
+/// The ReLU forward in place: `x = max(x, 0)`. Returns the mask
+/// `x[i] > 0` (taken before the clamp) for [`relu_mask_grad`].
+pub fn relu_with_mask(x: &mut Tensor) -> Vec<bool> {
+    let mut mask = vec![false; x.numel()];
+    relu_kernel(x.data_mut(), &mut mask);
+    mask
+}
+
+/// The ReLU backward in place: zero each element of `grad` whose `mask`
+/// entry (from [`relu_with_mask`]) is false.
+pub fn relu_mask_grad(grad: &mut Tensor, mask: &[bool]) {
+    debug_assert_eq!(grad.numel(), mask.len(), "relu_mask_grad: mask length");
+    mask_kernel(grad.data_mut(), mask);
+}
+
+multiversion! {
+    fn relu_kernel(x: &mut [f32], mask: &mut [bool]) {
+        for (v, m) in x.iter_mut().zip(mask.iter_mut()) {
+            *m = *v > 0.0;
+            *v = v.max(0.0);
+        }
+    }
+
+    fn mask_kernel(g: &mut [f32], mask: &[bool]) {
+        for (v, &keep) in g.iter_mut().zip(mask) {
+            *v = if keep { *v } else { 0.0 };
+        }
+    }
+}
 
 /// Rectified linear unit.
 #[derive(Default)]
@@ -17,18 +48,15 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
-        x.map(|v| v.max(0.0))
+        let mut y = x.clone();
+        self.mask = Some(relu_with_mask(&mut y));
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("Relu::backward before forward");
         let mut g = grad_out.clone();
-        for (v, &keep) in g.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        relu_mask_grad(&mut g, mask);
         g
     }
 }

@@ -1,3 +1,4 @@
+use crate::isa::multiversion;
 use crate::nn::Layer;
 use crate::optim::Param;
 use crate::{par, Tensor};
@@ -114,23 +115,8 @@ impl Layer for BatchNorm2d {
             // Accumulation order over (b, i) matches the serial kernel, so
             // each channel's stats are bitwise thread-count invariant.
             let eps = self.eps;
-            let stats: Vec<(f32, f32, f32)> = par::par_map(c, |ch| {
-                let mut mean = 0.0f32;
-                for b in 0..n {
-                    let base = (b * c + ch) * plane;
-                    mean += xd[base..base + plane].iter().sum::<f32>();
-                }
-                mean /= count;
-                let mut var = 0.0f32;
-                for b in 0..n {
-                    let base = (b * c + ch) * plane;
-                    for &v in &xd[base..base + plane] {
-                        var += (v - mean) * (v - mean);
-                    }
-                }
-                var /= count;
-                (mean, var, 1.0 / (var + eps).sqrt())
-            });
+            let stats: Vec<(f32, f32, f32)> =
+                par::par_map(c, |ch| channel_stats(xd, n, c, plane, ch, count, eps));
             // Serial: running statistics and the invstd cache, in channel
             // order (independent per channel; kept serial for clarity).
             self.cached_invstd = stats.iter().map(|&(_, _, invstd)| invstd).collect();
@@ -152,17 +138,8 @@ impl Layer for BatchNorm2d {
                     xhat.data_mut(),
                     item,
                     |b, out_chunk, xh_chunk| {
-                        for ch in 0..c {
-                            let (mean, _, invstd) = stats[ch];
-                            let (g, bshift) = (gamma[ch], beta[ch]);
-                            let base = ch * plane;
-                            let xbase = (b * c + ch) * plane;
-                            for i in 0..plane {
-                                let xh = (xd[xbase + i] - mean) * invstd;
-                                xh_chunk[base + i] = xh;
-                                out_chunk[base + i] = g * xh + bshift;
-                            }
-                        }
+                        let x_item = &xd[b * item..(b + 1) * item];
+                        normalize_item(x_item, &stats, gamma, beta, plane, out_chunk, xh_chunk)
                     },
                 );
             }
@@ -199,19 +176,7 @@ impl Layer for BatchNorm2d {
         let (god, xhd) = (grad_out.data(), xhat.data());
         // Phase 1 — per-channel gradient sums, one task per channel, with
         // the serial (b, i) accumulation order.
-        let sums: Vec<(f32, f32)> = par::par_map(c, |ch| {
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for b in 0..n {
-                let base = (b * c + ch) * plane;
-                for i in 0..plane {
-                    let dy = god[base + i];
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * xhd[base + i];
-                }
-            }
-            (sum_dy, sum_dy_xhat)
-        });
+        let sums: Vec<(f32, f32)> = par::par_map(c, |ch| grad_sums(god, xhd, n, c, plane, ch));
         for (ch, &(sum_dy, sum_dy_xhat)) in sums.iter().enumerate() {
             self.grad_beta.data_mut()[ch] += sum_dy;
             self.grad_gamma.data_mut()[ch] += sum_dy_xhat;
@@ -221,17 +186,8 @@ impl Layer for BatchNorm2d {
             let gamma = self.gamma.data();
             let invstds = &self.cached_invstd;
             par::par_chunks_mut(grad_in.data_mut(), item, |b, gi_chunk| {
-                for ch in 0..c {
-                    let (sum_dy, sum_dy_xhat) = sums[ch];
-                    let k = gamma[ch] * invstds[ch] / count;
-                    let base = ch * plane;
-                    let xbase = (b * c + ch) * plane;
-                    for i in 0..plane {
-                        let dy = god[xbase + i];
-                        let xh = xhd[xbase + i];
-                        gi_chunk[base + i] = k * (count * dy - sum_dy - xh * sum_dy_xhat);
-                    }
-                }
+                let (dy, xh) = (&god[b * item..(b + 1) * item], &xhd[b * item..(b + 1) * item]);
+                grad_item(dy, xh, &sums, gamma, invstds, count, plane, gi_chunk)
             });
         }
         grad_in
@@ -246,6 +202,102 @@ impl Layer for BatchNorm2d {
 
     fn param_count(&self) -> usize {
         self.gamma.numel() + self.beta.numel()
+    }
+}
+
+multiversion! {
+    /// Batch mean, variance and `1/√(var + eps)` of channel `ch` over the
+    /// `n` items of NCHW `xd`, summed in `(item, pixel)` order.
+    fn channel_stats(
+        xd: &[f32],
+        n: usize,
+        c: usize,
+        plane: usize,
+        ch: usize,
+        count: f32,
+        eps: f32,
+    ) -> (f32, f32, f32) {
+        let mut mean = 0.0f32;
+        for b in 0..n {
+            let base = (b * c + ch) * plane;
+            mean += xd[base..base + plane].iter().sum::<f32>();
+        }
+        mean /= count;
+        let mut var = 0.0f32;
+        for b in 0..n {
+            let base = (b * c + ch) * plane;
+            for &v in &xd[base..base + plane] {
+                var += (v - mean) * (v - mean);
+            }
+        }
+        var /= count;
+        (mean, var, 1.0 / (var + eps).sqrt())
+    }
+
+    /// Train-mode normalisation of one item `x` (`[c][plane]`): the
+    /// normalised values into `xh` and their affine map into `out`.
+    fn normalize_item(
+        x: &[f32],
+        stats: &[(f32, f32, f32)],
+        gamma: &[f32],
+        beta: &[f32],
+        plane: usize,
+        out: &mut [f32],
+        xh: &mut [f32],
+    ) {
+        for (ch, &(mean, _, invstd)) in stats.iter().enumerate() {
+            let (g, bshift) = (gamma[ch], beta[ch]);
+            let base = ch * plane;
+            for i in base..base + plane {
+                let v = (x[i] - mean) * invstd;
+                xh[i] = v;
+                out[i] = g * v + bshift;
+            }
+        }
+    }
+
+    /// `(Σ dy, Σ dy·x̂)` of channel `ch` over the `n` items, in `(item,
+    /// pixel)` order.
+    fn grad_sums(
+        god: &[f32],
+        xhd: &[f32],
+        n: usize,
+        c: usize,
+        plane: usize,
+        ch: usize,
+    ) -> (f32, f32) {
+        let mut sum_dy = 0.0f32;
+        let mut sum_dy_xhat = 0.0f32;
+        for b in 0..n {
+            let base = (b * c + ch) * plane;
+            for i in 0..plane {
+                let dy = god[base + i];
+                sum_dy += dy;
+                sum_dy_xhat += dy * xhd[base + i];
+            }
+        }
+        (sum_dy, sum_dy_xhat)
+    }
+
+    /// Input gradient of one item from its output gradient `dy` and
+    /// normalised input `xh` (both `[c][plane]`).
+    fn grad_item(
+        dy: &[f32],
+        xh: &[f32],
+        sums: &[(f32, f32)],
+        gamma: &[f32],
+        invstds: &[f32],
+        count: f32,
+        plane: usize,
+        gi: &mut [f32],
+    ) {
+        for (ch, &(sum_dy, sum_dy_xhat)) in sums.iter().enumerate() {
+            let k = gamma[ch] * invstds[ch] / count;
+            let base = ch * plane;
+            for i in base..base + plane {
+                gi[i] = k * (count * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
+            }
+        }
     }
 }
 

@@ -18,7 +18,7 @@ mod linear;
 mod pool;
 mod rnn;
 
-pub use act::{Relu, Sigmoid, Tanh};
+pub use act::{relu_mask_grad, relu_with_mask, Relu, Sigmoid, Tanh};
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use linear::Linear;

@@ -1,3 +1,4 @@
+use crate::isa::multiversion;
 use crate::nn::Layer;
 use crate::{par, Tensor};
 
@@ -42,32 +43,7 @@ impl Layer for MaxPool2 {
             out_item,
             &mut argmax,
             out_item,
-            |b, out_chunk, am| {
-                let mut oi = 0usize;
-                for ch in 0..c {
-                    let plane = &xd[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_idx = 0usize;
-                            for dy in 0..2 {
-                                for dx in 0..2 {
-                                    let iy = oy * 2 + dy;
-                                    let ix = ox * 2 + dx;
-                                    let idx = iy * w + ix;
-                                    if plane[idx] > best {
-                                        best = plane[idx];
-                                        best_idx = idx;
-                                    }
-                                }
-                            }
-                            out_chunk[oi] = best;
-                            am[oi] = (b * c + ch) * h * w + best_idx;
-                            oi += 1;
-                        }
-                    }
-                }
-            },
+            |b, out_chunk, am| max_pool_item(xd, b * c, h, w, out_chunk, am),
         );
         self.argmax = argmax;
         out
@@ -91,6 +67,45 @@ impl Layer for MaxPool2 {
             }
         });
         grad_in
+    }
+}
+
+multiversion! {
+    /// Max-pool one item's planes (`first_plane..` of NCHW `xd`, `h×w`
+    /// each) into `out`, recording each maximum's flat index in `xd`.
+    fn max_pool_item(
+        xd: &[f32],
+        first_plane: usize,
+        h: usize,
+        w: usize,
+        out: &mut [f32],
+        am: &mut [usize],
+    ) {
+        let (oh, ow) = (h / 2, w / 2);
+        let mut oi = 0usize;
+        for ch in first_plane..first_plane + out.len() / (oh * ow) {
+            let plane = &xd[ch * h * w..(ch + 1) * h * w];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let iy = oy * 2 + dy;
+                            let ix = ox * 2 + dx;
+                            let idx = iy * w + ix;
+                            if plane[idx] > best {
+                                best = plane[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out[oi] = best;
+                    am[oi] = ch * h * w + best_idx;
+                    oi += 1;
+                }
+            }
+        }
     }
 }
 

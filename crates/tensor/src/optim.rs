@@ -6,6 +6,7 @@
 //! between runs, shapes change and the lazily-initialised state simply
 //! re-initialises — the state check below makes that safe.
 
+use crate::isa::multiversion;
 use crate::Tensor;
 
 /// A mutable view of one parameter tensor and its accumulated gradient.
@@ -67,21 +68,14 @@ impl Optimizer for Sgd {
                 .resize_with(params.len(), || Tensor::zeros(&[0]));
         }
         for (i, p) in params.iter_mut().enumerate() {
-            if p.weight_decay && self.cfg.weight_decay != 0.0 {
-                p.grad.axpy(self.cfg.weight_decay, p.value);
-            }
+            let decay = if p.weight_decay { self.cfg.weight_decay } else { 0.0 };
             let v = &mut self.velocity[i];
             if v.dims() != p.value.dims() {
                 *v = Tensor::zeros(p.value.dims());
             }
-            if self.cfg.momentum != 0.0 {
-                v.scale_assign(self.cfg.momentum);
-                v.add_assign(p.grad);
-                p.value.axpy(-self.cfg.lr, v);
-            } else {
-                p.value.axpy(-self.cfg.lr, p.grad);
-            }
-            p.grad.zero();
+            debug_assert_eq!(p.grad.dims(), p.value.dims(), "sgd: gradient shape mismatch");
+            let (w, g) = (p.value.data_mut(), p.grad.data_mut());
+            sgd_update(w, g, v.data_mut(), -self.cfg.lr, self.cfg.momentum, decay);
         }
     }
 
@@ -165,37 +159,15 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.cfg.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.cfg.beta2.powi(self.t as i32);
         for (i, p) in params.iter_mut().enumerate() {
-            if p.weight_decay && self.cfg.weight_decay != 0.0 {
-                p.grad.axpy(self.cfg.weight_decay, p.value);
-            }
+            let decay = if p.weight_decay { self.cfg.weight_decay } else { 0.0 };
             if self.m[i].dims() != p.value.dims() {
                 self.m[i] = Tensor::zeros(p.value.dims());
                 self.v[i] = Tensor::zeros(p.value.dims());
             }
-            let (m, v) = (&mut self.m[i], &mut self.v[i]);
-            for ((mv, vv), &g) in m
-                .data_mut()
-                .iter_mut()
-                .zip(v.data_mut().iter_mut())
-                .zip(p.grad.data().iter())
-            {
-                *mv = self.cfg.beta1 * *mv + (1.0 - self.cfg.beta1) * g;
-                *vv = self.cfg.beta2 * *vv + (1.0 - self.cfg.beta2) * g * g;
-            }
-            let lr = self.cfg.lr;
-            let eps = self.cfg.eps;
-            for ((w, &mv), &vv) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(m.data())
-                .zip(v.data())
-            {
-                let m_hat = mv / bc1;
-                let v_hat = vv / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            p.grad.zero();
+            debug_assert_eq!(p.grad.dims(), p.value.dims(), "adam: gradient shape mismatch");
+            let moments = (self.m[i].data_mut(), self.v[i].data_mut());
+            let (w, g) = (p.value.data_mut(), p.grad.data_mut());
+            adam_update(w, g, moments.0, moments.1, &self.cfg, decay, bc1, bc2);
         }
     }
 
@@ -205,6 +177,70 @@ impl Optimizer for Adam {
 
     fn set_lr(&mut self, lr: f32) {
         self.cfg.lr = lr;
+    }
+}
+
+multiversion! {
+    /// One SGD step over a parameter `w` with gradient `g` and velocity
+    /// `v`, element by element: `g += decay·w` (when `decay ≠ 0`), then
+    /// `v = momentum·v + g` and `w += neg_lr·v` (or `w += neg_lr·g`
+    /// without momentum); `g` is zeroed.
+    fn sgd_update(
+        w: &mut [f32],
+        g: &mut [f32],
+        v: &mut [f32],
+        neg_lr: f32,
+        momentum: f32,
+        decay: f32,
+    ) {
+        if decay != 0.0 {
+            for (gv, &wv) in g.iter_mut().zip(&*w) {
+                *gv += decay * wv;
+            }
+        }
+        if momentum != 0.0 {
+            for ((wv, gv), vv) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+                *vv = *vv * momentum + *gv;
+                *wv += neg_lr * *vv;
+                *gv = 0.0;
+            }
+        } else {
+            for (wv, gv) in w.iter_mut().zip(g.iter_mut()) {
+                *wv += neg_lr * *gv;
+                *gv = 0.0;
+            }
+        }
+    }
+
+    /// One Adam step over a parameter `w` with gradient `g` and moments
+    /// `m`, `v`: `g += decay·w` (when `decay ≠ 0`), the moment updates
+    /// and the bias-corrected step (`bc1`, `bc2`); `g` is zeroed.
+    fn adam_update(
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        cfg: &AdamConfig,
+        decay: f32,
+        bc1: f32,
+        bc2: f32,
+    ) {
+        if decay != 0.0 {
+            for (gv, &wv) in g.iter_mut().zip(&*w) {
+                *gv += decay * wv;
+            }
+        }
+        let (beta1, beta2, lr, eps) = (cfg.beta1, cfg.beta2, cfg.lr, cfg.eps);
+        for (((wv, gv), mv), vv) in w.iter_mut().zip(g.iter_mut()).zip(m.iter_mut()).zip(v.iter_mut())
+        {
+            let g = *gv;
+            *mv = beta1 * *mv + (1.0 - beta1) * g;
+            *vv = beta2 * *vv + (1.0 - beta2) * g * g;
+            let m_hat = *mv / bc1;
+            let v_hat = *vv / bc2;
+            *wv -= lr * m_hat / (v_hat.sqrt() + eps);
+            *gv = 0.0;
+        }
     }
 }
 

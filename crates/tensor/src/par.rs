@@ -25,11 +25,11 @@
 //! the lowest-indexed failing task's index and original payload message,
 //! so callers (and their `catch_unwind` supervisors) see *what* failed.
 //!
-//! The pool is the one place in the tensor crate that needs `unsafe`: the
-//! submitting call blocks until every task of its run has finished, so
-//! borrowed task closures are only ever dereferenced while they are alive;
-//! workers that arrive late see an exhausted run and never touch the job
-//! pointer.
+//! Besides the instruction-set dispatch in [`crate::isa`], the pool is the
+//! one place in the tensor crate that needs `unsafe`: the submitting call
+//! blocks until every task of its run has finished, so borrowed task
+//! closures are only ever dereferenced while they are alive; workers that
+//! arrive late see an exhausted run and never touch the job pointer.
 
 #![allow(unsafe_code)]
 
@@ -125,7 +125,12 @@ struct Job {
     call: unsafe fn(*const (), usize),
 }
 
+// SAFETY: `data` points to a closure that `par_for` requires to be
+// `Sync`, and workers only call it through a shared reference; `call` is
+// a plain function pointer.
 unsafe impl Send for Job {}
+// SAFETY: as for `Send`: shared access to `Job` only ever calls the
+// `Sync` closure behind `data`.
 unsafe impl Sync for Job {}
 
 /// One submitted batch of `total` tasks.
@@ -210,6 +215,9 @@ fn execute_tasks(run: &RunState) {
             return;
         }
         let job = &run.job;
+        // SAFETY: `run_tasks` does not return until every claimed index
+        // has executed, so the closure behind `job.data` is alive, and
+        // `job.call` was instantiated for that closure's type.
         let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, i) }));
         if let Err(payload) = outcome {
             let mut info = run.panic_info.lock().unwrap();
@@ -298,7 +306,11 @@ where
         }
         return;
     }
+    /// # Safety
+    ///
+    /// `data` must point to a live `F`.
     unsafe fn call_erased<F: Fn(usize)>(data: *const (), i: usize) {
+        // SAFETY: the caller guarantees `data` points to a live `F`.
         unsafe { (*(data as *const F))(i) }
     }
     let job = Job {
@@ -319,7 +331,8 @@ where
     out.resize_with(tasks, || None);
     let base = SendPtr(out.as_mut_ptr());
     par_for(tasks, move |i| {
-        // Disjoint per index: each task writes only slot i.
+        // SAFETY: `i < tasks = out.len()`, each task writes only slot `i`,
+        // and `out` outlives `par_for`, so the writes never alias.
         unsafe { *base.get().add(i) = Some(f(i)) };
     });
     out.into_iter().map(|v| v.expect("task filled its slot")).collect()
@@ -339,7 +352,8 @@ where
     par_for(tasks, move |i| {
         let start = i * chunk_len;
         let end = (start + chunk_len).min(len);
-        // Chunks are disjoint by construction.
+        // SAFETY: `start..end` lies within `data`, chunks of distinct
+        // indices are disjoint, and `data` is borrowed for the whole call.
         let chunk =
             unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
         f(i, chunk);
@@ -372,8 +386,10 @@ where
     par_for(tasks, move |i| {
         let (sa, ea) = (i * a_chunk, (i * a_chunk + a_chunk).min(a_len));
         let (sb, eb) = (i * b_chunk, (i * b_chunk + b_chunk).min(b_len));
-        // Chunks are disjoint by construction in both slices.
+        // SAFETY: both ranges lie within their slices, chunks of distinct
+        // indices are disjoint, and both slices are borrowed for the call.
         let ca = unsafe { std::slice::from_raw_parts_mut(base_a.get().add(sa), ea - sa) };
+        // SAFETY: as for `ca`.
         let cb = unsafe { std::slice::from_raw_parts_mut(base_b.get().add(sb), eb - sb) };
         f(i, ca, cb);
     });
@@ -396,7 +412,10 @@ impl<T> Clone for SendPtr<T> {
     }
 }
 impl<T> Copy for SendPtr<T> {}
+// SAFETY: the pointer addresses `T: Send` data that each task reaches
+// only in its own disjoint region (see the uses above).
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: sharing the wrapper shares only the address.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Even split of `0..n` into at most `parts` contiguous ranges. The split

@@ -1,3 +1,4 @@
+use crate::isa::multiversion;
 use crate::{Shape, TensorError};
 use rand_distr_normal::sample_standard_normal;
 
@@ -216,12 +217,10 @@ impl Tensor {
 
     // -------------------------------------------------------------- mutable
 
-    /// `self += other` in place.
+    /// `self += other` in place (also the residual add of a ResNet block).
     pub fn add_assign(&mut self, other: &Tensor) {
         debug_assert_eq!(self.shape, other.shape, "add_assign: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        add_into(&mut self.data, &other.data);
     }
 
     /// `self += k * other` in place (axpy).
@@ -287,6 +286,14 @@ impl Tensor {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(idx, _)| idx)
             .unwrap_or(0)
+    }
+}
+
+multiversion! {
+    fn add_into(dst: &mut [f32], src: &[f32]) {
+        for (a, &b) in dst.iter_mut().zip(src) {
+            *a += b;
+        }
     }
 }
 

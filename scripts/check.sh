@@ -344,4 +344,29 @@ if [ -n "$probe_hits" ]; then
 fi
 echo "hardware-probe lint passed"
 
+# ---------------------------------------------------------------------------
+# ISA lint: the AVX2 instances of the tensor hot loops are emitted, detected
+# and dispatched in one module, crates/tensor/src/isa.rs, which owns every
+# unsafe call they need. Instruction-set code anywhere else, or another
+# module opting out of `deny(unsafe_code)` (par.rs's pool aside), fails.
+# ---------------------------------------------------------------------------
+echo "== ISA lint =="
+isa_hits=$(grep -rlnE --include='*.rs' \
+    'target_feature|is_x86_feature_detected|std::arch|core::arch' \
+    src tests examples crates perfbench | grep -vx 'crates/tensor/src/isa.rs' || true)
+if [ -n "$isa_hits" ]; then
+    echo "lint: instruction-set code outside crates/tensor/src/isa.rs:"
+    echo "$isa_hits"
+    exit 1
+fi
+unsafe_hits=$(grep -rln --include='*.rs' 'allow(unsafe_code)' \
+    src tests examples crates perfbench \
+    | grep -vx 'crates/tensor/src/isa.rs\|crates/tensor/src/par.rs' || true)
+if [ -n "$unsafe_hits" ]; then
+    echo "lint: allow(unsafe_code) outside crates/tensor/src/isa.rs and par.rs:"
+    echo "$unsafe_hits"
+    exit 1
+fi
+echo "ISA lint passed"
+
 echo "All checks passed."
