@@ -79,10 +79,6 @@ pub struct BenchArgs {
     /// Local slot index, set by the supervisor when it self-execs a
     /// worker (`--worker-slot N`) — not intended for direct use.
     pub worker_slot: Option<usize>,
-    /// Task scheduling policy (`--sched dynamic|static`). `static`
-    /// reproduces the old round-robin ownership, kept for the
-    /// `dist_throughput` head-to-head.
-    pub sched: transport::SchedPolicy,
     /// Socket read/write deadline for the distributed transport, in
     /// milliseconds (`--io-timeout-ms N`; 0 disables). Applied to the
     /// worker and supervisor connection sockets so a half-dead link
@@ -136,9 +132,8 @@ impl BenchArgs {
 /// Parse `--seed N` / `--fresh` / `--threads N` / `--no-resume` /
 /// `--faults SPEC` / `--memo on|off` / `--workers N` / `--heartbeat-ms N`
 /// / `--retries N` / `--connect ADDR` / `--listen ADDR` /
-/// `--addr-file PATH` / `--worker-slot N` / `--sched dynamic|static` /
-/// `--io-timeout-ms N` from argv (tiny flag parser shared by the
-/// reproduction binaries).
+/// `--addr-file PATH` / `--worker-slot N` / `--io-timeout-ms N` from argv
+/// (tiny flag parser shared by the reproduction binaries).
 pub fn parse_args() -> BenchArgs {
     let mut parsed = BenchArgs {
         seed: 42,
@@ -155,7 +150,6 @@ pub fn parse_args() -> BenchArgs {
         listen: None,
         addr_file: None,
         worker_slot: None,
-        sched: transport::SchedPolicy::Dynamic,
         io_timeout_ms: DEFAULT_IO_TIMEOUT_MS,
     };
     let args: Vec<String> = std::env::args().collect();
@@ -237,15 +231,6 @@ pub fn parse_args() -> BenchArgs {
             "--worker-slot" => {
                 if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
                     parsed.worker_slot = Some(v);
-                    i += 1;
-                }
-            }
-            "--sched" => {
-                if let Some(v) = args.get(i + 1) {
-                    match transport::SchedPolicy::parse(v) {
-                        Some(p) => parsed.sched = p,
-                        None => eprintln!("ignoring --sched {v} (want dynamic|static)"),
-                    }
                     i += 1;
                 }
             }

@@ -20,11 +20,8 @@
 //! | `shutdown` | — | s → w |
 //!
 //! Workers **pull**: the supervisor never guesses which worker should own
-//! a unit — whoever asks next gets the head of the queue
-//! ([`SchedPolicy::Dynamic`], the default), so a straggler delays only
-//! the single unit it holds. [`SchedPolicy::Static`] reproduces the old
-//! `task_owner(i) = i % workers` round-robin over the same transport, for
-//! the `dist_throughput` bench's head-to-head.
+//! a unit — whoever asks next gets the head of the queue, so a straggler
+//! delays only the single unit it holds.
 //!
 //! The supervisor merges `result` payloads incrementally in fixed unit
 //! order (byte-identical to the serial run) and journals each completed
@@ -72,37 +69,6 @@ const STALL_GRACE_MS: u64 = 30_000;
 
 /// Consecutive failed connection attempts before a worker gives up.
 const MAX_CONNECT_FAILURES: u32 = 5;
-
-/// How the supervisor hands out queued units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Whoever pulls next gets the head of the queue (the default).
-    #[default]
-    Dynamic,
-    /// Round-robin by unit position, like the old `task_owner` sharding:
-    /// a worker only receives units whose position ≡ its id (mod worker
-    /// count). Kept for the scheduling head-to-head in `dist_throughput`.
-    Static,
-}
-
-impl SchedPolicy {
-    /// Parse a `--sched` value.
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        match s {
-            "dynamic" => Some(SchedPolicy::Dynamic),
-            "static" => Some(SchedPolicy::Static),
-            _ => None,
-        }
-    }
-
-    /// Flag-value name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedPolicy::Dynamic => "dynamic",
-            SchedPolicy::Static => "static",
-        }
-    }
-}
 
 /// Whether the flags ask for the distributed layer: local self-exec
 /// workers (`--workers N`), an exposed listener (`--listen`), or both.
@@ -612,31 +578,18 @@ struct SuperState {
     net_sched: VecDeque<(u64, FaultKind)>,
     next_remote_wid: u64,
     budget: u64,
-    policy: SchedPolicy,
-    static_workers: usize,
     shutdown: bool,
 }
 
-fn select_unit(round: &mut Round, policy: SchedPolicy, static_workers: usize, wid: u64) -> Option<usize> {
-    match policy {
-        SchedPolicy::Dynamic => {
-            while let Some(u) = round.pending.pop_front() {
-                if !round.resolved.contains_key(&u) {
-                    return Some(u);
-                }
-            }
-            None
-        }
-        SchedPolicy::Static => {
-            let k = static_workers.max(1);
-            let pos = round.pending.iter().position(|&u| {
-                !round.resolved.contains_key(&u)
-                    && round.units.iter().position(|&x| x == u).unwrap_or(0) % k
-                        == (wid as usize) % k
-            })?;
-            round.pending.remove(pos)
+/// The head of the queue, skipping units already resolved: whoever pulls
+/// next gets it.
+fn select_unit(round: &mut Round) -> Option<usize> {
+    while let Some(u) = round.pending.pop_front() {
+        if !round.resolved.contains_key(&u) {
+            return Some(u);
         }
     }
+    None
 }
 
 /// Re-enqueue (or, past the attempt budget, degrade) the unit a dead or
@@ -669,17 +622,16 @@ fn lost_assignment(st: &mut SuperState, idx: usize) {
     }
 }
 
-/// Handle a `pull`: assign a unit (per policy), or tell the worker to
-/// idle, or to shut down. Returns `false` when the connection should end.
+/// Handle a `pull`: assign a unit, or tell the worker to idle, or to
+/// shut down. Returns `false` when the connection should end.
 fn handle_pull(st: &mut SuperState, idx: usize) -> bool {
     if st.shutdown {
         let _ = write_frame(&mut &st.conns[idx].stream, &f_shutdown());
         return false;
     }
     let wid = st.conns[idx].wid;
-    let (policy, static_workers) = (st.policy, st.static_workers);
     let assignment = match &mut st.round {
-        Some(round) => match select_unit(round, policy, static_workers, wid) {
+        Some(round) => match select_unit(round) {
             Some(unit) => {
                 let attempts = round.attempts.entry(unit).or_insert(0);
                 *attempts += 1;
@@ -985,10 +937,9 @@ impl DistRunner {
             TcpListener::bind(args.listen.as_deref().unwrap_or("127.0.0.1:0"))?;
         let addr = listener.local_addr()?;
         eprintln!(
-            "[dist] listening on {addr} ({} local worker(s), {} scheduling, \
+            "[dist] listening on {addr} ({} local worker(s), \
              heartbeat {} ms, {} retries)",
             args.workers,
-            args.sched.name(),
             args.heartbeat_ms,
             args.retries
         );
@@ -1004,8 +955,6 @@ impl DistRunner {
             net_sched: fault::site_schedule("net").into_iter().collect(),
             next_remote_wid: args.workers as u64,
             budget: args.retries as u64,
-            policy: args.sched,
-            static_workers: args.workers.max(1),
             shutdown: false,
         }));
         let accept_stop = Arc::new(AtomicBool::new(false));
@@ -1500,22 +1449,10 @@ mod tests {
     #[test]
     fn dynamic_selection_drains_in_order_for_any_worker() {
         let mut round = round_with(&[0, 1, 2]);
-        assert_eq!(select_unit(&mut round, SchedPolicy::Dynamic, 2, 5), Some(0));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Dynamic, 2, 0), Some(1));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Dynamic, 2, 1), Some(2));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Dynamic, 2, 1), None);
-    }
-
-    #[test]
-    fn static_selection_respects_ownership() {
-        let mut round = round_with(&[0, 1, 2, 3]);
-        // Worker 0 owns positions 0 and 2; worker 1 owns 1 and 3.
-        assert_eq!(select_unit(&mut round, SchedPolicy::Static, 2, 0), Some(0));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Static, 2, 0), Some(2));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Static, 2, 0), None);
-        assert_eq!(select_unit(&mut round, SchedPolicy::Static, 2, 1), Some(1));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Static, 2, 1), Some(3));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Static, 2, 1), None);
+        assert_eq!(select_unit(&mut round), Some(0));
+        assert_eq!(select_unit(&mut round), Some(1));
+        assert_eq!(select_unit(&mut round), Some(2));
+        assert_eq!(select_unit(&mut round), None);
     }
 
     #[test]
@@ -1523,18 +1460,8 @@ mod tests {
         let mut round = round_with(&[0, 1, 2]);
         round.resolved.insert(0, Some(Value::Null));
         round.resolved.insert(1, None);
-        assert_eq!(select_unit(&mut round, SchedPolicy::Dynamic, 1, 0), Some(2));
-        assert_eq!(select_unit(&mut round, SchedPolicy::Dynamic, 1, 0), None);
-    }
-
-    #[test]
-    fn sched_policy_parses_its_own_names() {
-        assert_eq!(SchedPolicy::parse("dynamic"), Some(SchedPolicy::Dynamic));
-        assert_eq!(SchedPolicy::parse("static"), Some(SchedPolicy::Static));
-        assert_eq!(SchedPolicy::parse("round-robin"), None);
-        for p in [SchedPolicy::Dynamic, SchedPolicy::Static] {
-            assert_eq!(SchedPolicy::parse(p.name()), Some(p));
-        }
+        assert_eq!(select_unit(&mut round), Some(2));
+        assert_eq!(select_unit(&mut round), None);
     }
 
     #[test]
@@ -1560,8 +1487,6 @@ mod tests {
             net_sched: VecDeque::new(),
             next_remote_wid: 0,
             budget: 1, // retries=1 → 2 attempts allowed
-            policy: SchedPolicy::Dynamic,
-            static_workers: 1,
             shutdown: false,
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

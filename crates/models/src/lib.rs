@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod checkpoint;
 mod convnet;
 mod resnet;
 pub mod serialize;

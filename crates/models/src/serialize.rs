@@ -1,25 +1,50 @@
 //! Structural model serialisation: encode a [`ConvNet`] — architecture
 //! *and* weights — to bytes and rebuild it exactly.
 //!
-//! [`crate::checkpoint`] deliberately stores weights only, which is
-//! useless for the search journal: progressive-search nodes hold models
-//! that surgery has already reshaped (pruned channels, factored kernels,
-//! tied bases), and a resumed run has no way to replay that surgery
-//! before restoring weights. This codec therefore records the full unit
-//! list — kernel form, strides, tie groups, BN running statistics, the
-//! tie-group watermark — so `read_model(write_model(net))` yields a
-//! network that is bitwise-identical in every forward/backward pass.
+//! The search journal and the memo's spill store hold models that surgery
+//! has already reshaped (pruned channels, factored kernels, tied bases),
+//! and a resumed run has no way to replay that surgery before restoring
+//! weights. This codec therefore records the full unit list — kernel
+//! form, strides, tie groups, BN running statistics, the tie-group
+//! watermark — so `read_model(write_model(net))` yields a network that is
+//! bitwise-identical in every forward/backward pass.
 //!
 //! The format is self-describing little-endian binary under the magic
-//! `AUTOMCs1`, with the same plausibility limits on restore as the weight
-//! checkpoint: a corrupt stream is an error, never a garbage network.
+//! `AUTOMCs1`, with plausibility limits on restore: a corrupt stream is
+//! an error, never a garbage network.
 
-use crate::checkpoint::CheckpointError;
 use crate::unit::{BasicBlock, Classifier, ConvBnRelu, ConvKernel, Unit};
 use crate::{ConvNet, ModelKind};
 use automc_tensor::nn::{BatchNorm2d, Conv2d, Linear, MaxPool2};
 use automc_tensor::Tensor;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+
+/// Errors from decoding a model stream (a journal checkpoint or a memo
+/// spill blob).
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// Malformed byte stream.
+    Corrupt(&'static str),
+    /// Underlying I/O failure.
+    Io(io::Error),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
+            CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<io::Error> for CheckpointError {
+    fn from(e: io::Error) -> Self {
+        CheckpointError::Io(e)
+    }
+}
 
 const MAGIC: &[u8; 8] = b"AUTOMCs1";
 

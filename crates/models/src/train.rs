@@ -5,7 +5,7 @@ use crate::ConvNet;
 use automc_data::ImageSet;
 use automc_tensor::fault::{self, FaultKind};
 use automc_tensor::optim::{Optimizer, Sgd, SgdConfig};
-use automc_tensor::{loss, Rng, Tensor};
+use automc_tensor::{loss, Rng};
 
 pub mod divergence {
     //! Thread-local divergence latch.
@@ -309,12 +309,6 @@ pub fn evaluate(model: &mut ConvNet, data: &ImageSet) -> f32 {
         i += chunk;
     }
     correct as f32 / data.len() as f32
-}
-
-/// Teacher logits for a whole set (eval mode) — used by tests.
-pub fn logits_of(model: &mut ConvNet, data: &ImageSet) -> Tensor {
-    let (batch, _) = data.full_batch();
-    model.forward(&batch, false)
 }
 
 #[cfg(test)]

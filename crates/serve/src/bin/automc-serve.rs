@@ -118,7 +118,6 @@ fn cmd_serve(args: &[String]) -> std::io::Result<()> {
         listen: None,
         addr_file: None,
         worker_slot: None,
-        sched: automc_bench::transport::SchedPolicy::Dynamic,
         io_timeout_ms: cfg.io_timeout_ms,
     };
     bench.apply();

@@ -26,17 +26,6 @@ impl Client {
         })
     }
 
-    /// Apply a read/write deadline to the underlying socket (`0` clears
-    /// it). A `watch` stream can legitimately sit quiet for a full
-    /// search round, so when watching pick a deadline generously above
-    /// the expected round time — or leave the client blocking and rely
-    /// on the server's own reaping.
-    pub fn set_io_timeout(&mut self, ms: u64) -> std::io::Result<()> {
-        let dt = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-        self.reader.get_ref().set_read_timeout(dt)?;
-        self.writer.get_ref().set_write_timeout(dt)
-    }
-
     /// Send one request frame.
     pub fn send(&mut self, req: &Request) -> std::io::Result<()> {
         write_frame(&mut self.writer, &req.to_value())

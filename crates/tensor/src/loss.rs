@@ -47,24 +47,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     (loss * inv_b, grad)
 }
 
-/// Negative log-likelihood on *probabilities* (row-stochastic input).
-///
-/// Used as LFB's `NLL` auxiliary-loss option where the inputs have already
-/// been normalised. Gradient is wrt the probabilities.
-pub fn nll(probs: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    let batch = probs.rows();
-    debug_assert_eq!(labels.len(), batch);
-    let mut grad = Tensor::zeros(probs.dims());
-    let mut loss = 0.0f32;
-    let inv_b = 1.0 / batch.max(1) as f32;
-    for (i, &label) in labels.iter().enumerate() {
-        let p = probs.row(i)[label].max(1e-6);
-        loss -= p.ln();
-        grad.row_mut(i)[label] = -inv_b / p;
-    }
-    (loss * inv_b, grad)
-}
-
 /// Mean squared error between predictions and targets (same shape).
 pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     debug_assert_eq!(pred.dims(), target.dims(), "mse: shape mismatch");

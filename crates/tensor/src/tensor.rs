@@ -231,13 +231,6 @@ impl Tensor {
         }
     }
 
-    /// Scale in place.
-    pub fn scale_assign(&mut self, k: f32) {
-        for a in &mut self.data {
-            *a *= k;
-        }
-    }
-
     /// Zero all elements (reuse allocation).
     pub fn zero(&mut self) {
         self.data.fill(0.0);

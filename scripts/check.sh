@@ -6,21 +6,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
-cargo bench --no-run --offline --workspace
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
-# Kernel regression gate: re-measure the hot tensor kernels (quick mode:
-# medians only, few iterations) and compare against the committed
-# BENCH_baseline.json. Fails on a >15% regression of a gated kernel, on
-# `auto` thread mode losing to serial, or on the blocked-matmul speedup
-# over the pre-rewrite kernels falling below its floor. After an
+# Kernel regression gate: re-measure the hot tensor kernels (three passes
+# of interleaved best-of rounds, median per row) and compare against the
+# committed BENCH_baseline.json. Fails on a >15% regression of a gated
+# kernel, on `auto` thread mode losing to serial, or on the blocked-matmul
+# speedup over the pre-rewrite kernels falling below its floor. After an
 # intentional kernel change, rebase with:
 #   AUTOMC_BENCH_REBASE=1 cargo run --release --offline -p automc-bench \
 #       --bin kernel_gate
 # ---------------------------------------------------------------------------
 echo "== kernel regression gate =="
-AUTOMC_BENCH_QUICK=1 cargo bench --offline -p automc-bench --bench substrate
 cargo run --release --offline -p automc-bench --bin kernel_gate
 echo "kernel regression gate passed"
 
