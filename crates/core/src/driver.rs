@@ -16,7 +16,6 @@ use crate::history::{EvalRecord, EvalStatus, SearchHistory};
 use crate::journal::{self, JournalOptions, NodeSnapshot, SearchJournal};
 use crate::progress::{RoundControl, RoundEvent};
 use automc_compress::{execute_scheme_checked, EvalOutcome, Scheme, SchemeOutcome};
-use automc_models::ConvNet;
 use automc_tensor::{fault, Rng};
 
 /// One scheme a [`Searcher`] asks the driver to evaluate.
@@ -63,16 +62,15 @@ pub trait Searcher {
         rng: &mut Rng,
     ) -> Option<Vec<Candidate>>;
 
-    /// Learn from candidate `i` of the current round: its compressed model
-    /// and outcome, or `None` when the evaluation failed. The default
-    /// learns nothing.
+    /// Learn from candidate `i` of the current round: its outcome, or
+    /// `None` when the evaluation failed. The default learns nothing.
     fn observe(
         &self,
         _st: &mut Self::State,
         _ctx: &SearchContext<'_>,
         _i: usize,
         _scheme: Scheme,
-        _evaluated: Option<(ConvNet, SchemeOutcome)>,
+        _evaluated: Option<SchemeOutcome>,
     ) {
     }
 
@@ -195,10 +193,12 @@ pub fn drive<S: Searcher>(
             // instantly still drains the budget.
             spent += result.cost().units().saturating_sub(cand.prefix_cost).max(floor);
             let failure = |status| EvalRecord::failure(cand.scheme.clone(), status, spent);
+            // The compressed model is dropped here: the prefix cache keeps
+            // what a later extension of this scheme needs.
             let (record, evaluated) = match result {
-                EvalOutcome::Ok { model, outcome } => (
+                EvalOutcome::Ok { outcome, .. } => (
                     EvalRecord::from_outcome(cand.scheme.clone(), &outcome, spent),
-                    Some((model, outcome)),
+                    Some(outcome),
                 ),
                 EvalOutcome::Diverged { .. } => (failure(EvalStatus::Diverged), None),
                 EvalOutcome::Panicked { msg, .. } => (failure(EvalStatus::Panicked(msg)), None),

@@ -9,7 +9,6 @@ use crate::pareto;
 use crate::random::random_scheme;
 use crate::statebytes::{read_f32, read_u64, write_f32, write_u64};
 use automc_compress::{Scheme, SchemeOutcome};
-use automc_models::ConvNet;
 use automc_tensor::Rng;
 use rand::Rng as _;
 
@@ -173,9 +172,9 @@ impl Searcher for EvolutionConfig {
         _ctx: &SearchContext<'_>,
         _i: usize,
         scheme: Scheme,
-        evaluated: Option<(ConvNet, SchemeOutcome)>,
+        evaluated: Option<SchemeOutcome>,
     ) {
-        let Some((_, outcome)) = evaluated else { return };
+        let Some(outcome) = evaluated else { return };
         population.push(Individual { scheme, ar: outcome.ar, pr: outcome.pr });
         if population.len() <= self.population {
             return;

@@ -4,20 +4,13 @@
 //! At the end of every search round the full resumable state — the
 //! evaluation history, the algorithm's opaque learner state (`F_mo` for
 //! AutoMC, the REINFORCE controller for RL, the population for the EA),
-//! every extension node's model reference, the budget spent, the RNG
-//! state, and the fault-injection counters — is written to one journal
-//! file. Writes are atomic (temp file + rename) so a crash mid-write
-//! leaves the previous round's journal intact, and the payload is
-//! checksummed (FNV-1a 64) so torn or corrupted files are detected and
-//! treated as "no journal" rather than trusted.
-//!
-//! Node models are stored as *content-addressed blobs* in a sibling
-//! `<journal>.blobs/` directory, keyed by the FNV-1a 64 hash of their
-//! bytes: the journal only references hashes, a blob is written once when
-//! its node first appears, and unreferenced blobs are garbage-collected
-//! after each successful journal write — so the per-round write cost is
-//! O(new nodes), not O(frontier). Blob contents are re-hashed on load; a
-//! missing or corrupt blob invalidates the journal.
+//! AutoMC's extension nodes (scheme, metrics, cost and explored set; no
+//! model, since an extension re-executes its scheme through the prefix
+//! cache), the budget spent, the RNG state, and the fault-injection
+//! counters — is written to one journal file. Writes are atomic (temp
+//! file + rename) so a crash mid-write leaves the previous round's journal
+//! intact, and the payload is checksummed (FNV-1a 64) so torn or corrupted
+//! files are detected and treated as "no journal" rather than trusted.
 //!
 //! A journal is keyed by a *run fingerprint* hashed from everything that
 //! shapes the run (problem instance, configuration, embeddings, seed); a
@@ -322,68 +315,6 @@ impl Heartbeat {
 }
 
 // ------------------------------------------------------------------------
-// Content-addressed model blobs
-// ------------------------------------------------------------------------
-
-/// The sibling directory holding a journal's content-addressed model
-/// blobs.
-pub fn blob_dir(journal: &Path) -> PathBuf {
-    let mut dir = journal.as_os_str().to_owned();
-    dir.push(".blobs");
-    PathBuf::from(dir)
-}
-
-fn blob_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.bin"))
-}
-
-/// Write `bytes` as a blob under `dir` unless its content hash is already
-/// present (content addressing makes re-writes pure overhead).
-fn store_blob(dir: &Path, hash: u64, bytes: &[u8]) -> io::Result<()> {
-    let path = blob_path(dir, hash);
-    if path.exists() {
-        return Ok(());
-    }
-    write_atomic_retry(&path, bytes)
-}
-
-/// Read a blob back and verify its content hash — a mismatch means disk
-/// corruption and invalidates the journal that referenced it.
-fn load_blob(dir: &Path, hash: u64) -> Option<Vec<u8>> {
-    let path = blob_path(dir, hash);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("warning: cannot read model blob {}: {e}", path.display());
-            return None;
-        }
-    };
-    if fnv1a64(&bytes) != hash {
-        eprintln!("warning: model blob {} fails its content hash", path.display());
-        return None;
-    }
-    Some(bytes)
-}
-
-/// Delete every blob in `dir` whose hash is not in `live` — called after
-/// a successful journal write, so the old journal (already replaced) can
-/// no longer reference the removed blobs. Errors are ignored: a stray
-/// blob only wastes space.
-fn collect_garbage(dir: &Path, live: &[u64]) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".bin")) else {
-            continue;
-        };
-        let Ok(hash) = u64::from_str_radix(stem, 16) else { continue };
-        if !live.contains(&hash) {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-}
-
-// ------------------------------------------------------------------------
 // The journal itself
 // ------------------------------------------------------------------------
 
@@ -424,8 +355,7 @@ pub fn job_dir(base: &Path, job_id: &str) -> PathBuf {
     dir
 }
 
-/// One extension node of the progressive search, with its compressed model
-/// serialised by `automc_models::serialize`.
+/// One extension node of the progressive search.
 #[derive(Debug, Clone)]
 pub struct NodeSnapshot {
     /// The strategy sequence that produced this node.
@@ -438,14 +368,10 @@ pub struct NodeSnapshot {
     pub cost: EvalCost,
     /// Strategies already tried as one-step extensions (sorted).
     pub explored: Vec<StrategyId>,
-    /// `automc_models::serialize::model_to_bytes` of the node's model.
-    pub model: Vec<u8>,
 }
 
 impl NodeSnapshot {
-    /// JSON form with the model replaced by its content hash; the bytes
-    /// themselves live in the blob store.
-    fn to_json_ref(&self, hash: u64) -> Value {
+    fn to_json(&self) -> Value {
         obj(vec![
             ("scheme", self.scheme.to_json()),
             ("acc", self.metrics.acc.to_json()),
@@ -454,21 +380,12 @@ impl NodeSnapshot {
             ("cost_trained", self.cost.trained_images.to_json()),
             ("cost_eval", self.cost.eval_images.to_json()),
             ("explored", self.explored.to_json()),
-            ("model_blob", Value::Str(format!("{hash:016x}"))),
         ])
     }
 
-    /// Decode a node, resolving its model either from the legacy inline
-    /// hex field or from the blob store.
-    fn from_json_with_blobs(v: &Value, blobs: &Path) -> Option<Self> {
-        let model = if let Some(hex) = v.get("model").and_then(|m| m.as_str()) {
-            // Legacy journal with the model inline.
-            from_hex(hex)?
-        } else {
-            let hash =
-                u64::from_str_radix(v.get("model_blob")?.as_str()?, 16).ok()?;
-            load_blob(blobs, hash)?
-        };
+    /// Decode a node. Journals written by earlier builds also carry the
+    /// node's model (inline or as a blob reference); it is not read.
+    fn from_json(v: &Value) -> Option<Self> {
         Some(NodeSnapshot {
             scheme: field(v, "scheme")?,
             metrics: Metrics {
@@ -481,7 +398,6 @@ impl NodeSnapshot {
                 eval_images: field(v, "cost_eval").unwrap_or(0),
             },
             explored: field(v, "explored")?,
-            model,
         })
     }
 }
@@ -516,18 +432,13 @@ pub struct SearchJournal {
 }
 
 impl SearchJournal {
-    fn to_json_with_hashes(&self, hashes: &[u64]) -> Value {
+    fn to_json(&self) -> Value {
         let rng_hex = self
             .rng
             .iter()
             .map(|w| Value::Str(format!("{w:016x}")))
             .collect::<Vec<_>>();
-        let nodes = self
-            .nodes
-            .iter()
-            .zip(hashes)
-            .map(|(n, &h)| n.to_json_ref(h))
-            .collect::<Vec<_>>();
+        let nodes = self.nodes.iter().map(NodeSnapshot::to_json).collect::<Vec<_>>();
         obj(vec![
             ("fingerprint", Value::Str(format!("{:016x}", self.fingerprint))),
             ("round", self.round.to_json()),
@@ -540,7 +451,7 @@ impl SearchJournal {
         ])
     }
 
-    fn from_json_with_blobs(v: &Value, blobs: &Path) -> Option<Self> {
+    fn from_json(v: &Value) -> Option<Self> {
         let fingerprint =
             u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok()?;
         let Value::Arr(rng_words) = v.get("rng")? else { return None };
@@ -560,7 +471,7 @@ impl SearchJournal {
         let Value::Arr(node_values) = v.get("nodes")? else { return None };
         let mut nodes = Vec::with_capacity(node_values.len());
         for nv in node_values {
-            nodes.push(NodeSnapshot::from_json_with_blobs(nv, blobs)?);
+            nodes.push(NodeSnapshot::from_json(nv)?);
         }
         Some(SearchJournal {
             fingerprint,
@@ -575,32 +486,17 @@ impl SearchJournal {
     }
 }
 
-/// Persist a journal atomically: node models go to the content-addressed
-/// blob store first (new blobs only), then the checksummed journal
-/// envelope is renamed into place, then blobs no longer referenced are
-/// garbage-collected. A crash at any point leaves either the previous
-/// journal (with all its blobs) or the new one intact.
+/// Persist a journal atomically as one checksummed envelope: a crash at
+/// any point leaves either the previous journal or the new one intact.
 pub fn save(path: &Path, journal: &SearchJournal) -> io::Result<()> {
-    let hashes: Vec<u64> = journal.nodes.iter().map(|n| fnv1a64(&n.model)).collect();
-    let blobs = blob_dir(path);
-    if !journal.nodes.is_empty() {
-        fs::create_dir_all(&blobs)?;
-        for (node, &hash) in journal.nodes.iter().zip(&hashes) {
-            store_blob(&blobs, hash, &node.model)?;
-        }
-    }
-    let payload = journal.to_json_with_hashes(&hashes).to_string_pretty();
-    save_checksummed(path, &payload)?;
-    collect_garbage(&blobs, &hashes);
-    Ok(())
+    save_checksummed(path, &journal.to_json().to_string_pretty())
 }
 
-/// Load a journal, validating the envelope checksum, the run fingerprint,
-/// and every referenced blob's content hash. Any failure — missing file,
-/// unparsable JSON, checksum mismatch, wrong fingerprint, missing or
-/// corrupt blob — returns `None`; corruption and mismatches are reported
-/// on stderr (a missing file is silent: that is the normal fresh-run
-/// case).
+/// Load a journal, validating the envelope checksum and the run
+/// fingerprint. Any failure — missing file, unparsable JSON, checksum
+/// mismatch, wrong fingerprint — returns `None`; corruption and
+/// mismatches are reported on stderr (a missing file is silent: that is
+/// the normal fresh-run case).
 pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
     let payload = load_checksummed(path)?;
     let invalid = || {
@@ -611,7 +507,7 @@ pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
     };
     let mut journal = match automc_json::parse(&payload)
         .ok()
-        .and_then(|v| SearchJournal::from_json_with_blobs(&v, &blob_dir(path)))
+        .and_then(|v| SearchJournal::from_json(&v))
     {
         Some(j) => j,
         None => {
@@ -632,13 +528,12 @@ pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
     Some(journal)
 }
 
-/// Remove a journal and its blob store once the run has completed. Errors
-/// (including the files already being gone) are ignored: a stale journal
-/// is merely re-validated and discarded on the next run.
+/// Remove a journal and its intent record once the run has completed.
+/// Errors (including the files already being gone) are ignored: a stale
+/// journal is merely re-validated and discarded on the next run.
 pub fn discard(path: &Path) {
     let _ = fs::remove_file(path);
     let _ = fs::remove_file(intent_path(path));
-    let _ = fs::remove_dir_all(blob_dir(path));
 }
 
 #[cfg(test)]
@@ -669,7 +564,6 @@ mod tests {
                 metrics: Metrics { acc: 0.875, params: 999, flops: 123_456 },
                 cost: EvalCost { trained_images: 11, eval_images: 22 },
                 explored: vec![0, 7, 12],
-                model: vec![9, 8, 7],
             }],
             fault_counters: vec![("eval".into(), 5), ("train".into(), 17)],
         }
@@ -755,10 +649,8 @@ mod tests {
             EvalCost { trained_images: 11, eval_images: 22 }
         );
         assert_eq!(back.nodes[0].explored, vec![0, 7, 12]);
-        assert_eq!(back.nodes[0].model, vec![9, 8, 7]);
         discard(&path);
         assert!(load(&path, j.fingerprint).is_none(), "discard removes it");
-        assert!(!blob_dir(&path).exists(), "discard removes the blob store");
     }
 
     #[test]
@@ -788,63 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn blobs_are_content_addressed_and_garbage_collected() {
-        let path = temp_path("blobs");
-        let mut j = sample_journal();
-        j.nodes.push(NodeSnapshot {
-            scheme: vec![1, 2],
-            metrics: Metrics { acc: 0.5, params: 10, flops: 20 },
-            cost: EvalCost::default(),
-            explored: vec![],
-            model: vec![9, 8, 7], // same bytes as node 0 → same blob
-        });
-        save(&path, &j).unwrap();
-        let dir = blob_dir(&path);
-        let count = fs::read_dir(&dir).unwrap().count();
-        assert_eq!(count, 1, "identical models share one blob");
-
-        // A new node adds exactly one blob; dropping a node GCs its blob.
-        j.nodes.push(NodeSnapshot {
-            scheme: vec![3],
-            metrics: Metrics { acc: 0.6, params: 11, flops: 21 },
-            cost: EvalCost::default(),
-            explored: vec![],
-            model: vec![1, 1, 2, 3, 5, 8],
-        });
-        save(&path, &j).unwrap();
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
-        j.nodes.truncate(2); // drop the fibonacci model again
-        save(&path, &j).unwrap();
-        assert_eq!(
-            fs::read_dir(&dir).unwrap().count(),
-            1,
-            "unreferenced blobs are collected"
-        );
-        let back = load(&path, j.fingerprint).unwrap();
-        assert_eq!(back.nodes.len(), 2);
-        assert_eq!(back.nodes[1].model, vec![9, 8, 7]);
-        discard(&path);
-    }
-
-    #[test]
-    fn corrupt_or_missing_blob_invalidates_the_journal() {
-        let path = temp_path("blob-corrupt");
-        let j = sample_journal();
-        save(&path, &j).unwrap();
-        let dir = blob_dir(&path);
-        let blob = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        // Corrupt the blob: content no longer matches its hash.
-        fs::write(&blob, b"junk").unwrap();
-        assert!(load(&path, j.fingerprint).is_none(), "corrupt blob rejected");
-        // Remove it entirely.
-        save(&path, &j).unwrap();
-        let blob = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        fs::remove_file(&blob).unwrap();
-        assert!(load(&path, j.fingerprint).is_none(), "missing blob rejected");
-        discard(&path);
-    }
-
-    #[test]
     fn legacy_inline_model_journals_still_load() {
         let path = temp_path("legacy");
         let j = sample_journal();
@@ -856,7 +691,7 @@ mod tests {
             ("params", node.metrics.params.to_json()),
             ("flops", node.metrics.flops.to_json()),
             ("explored", node.explored.to_json()),
-            ("model", Value::Str(to_hex(&node.model))),
+            ("model", Value::Str(to_hex(&[9, 8, 7]))),
         ]);
         let payload = obj(vec![
             ("fingerprint", Value::Str(format!("{:016x}", j.fingerprint))),
@@ -876,7 +711,7 @@ mod tests {
         save_checksummed(&path, &payload).unwrap();
         let back = load(&path, j.fingerprint).expect("legacy journal loads");
         assert_eq!(back.state, j.state);
-        assert_eq!(back.nodes[0].model, j.nodes[0].model);
+        assert_eq!(back.nodes[0].explored, j.nodes[0].explored);
         assert_eq!(
             back.nodes[0].cost,
             EvalCost::default(),

@@ -14,10 +14,11 @@
 //!   the strategy sequence, an MLP head predicts the step deltas
 //!   `(AR_step, PR_step)` for a candidate next strategy; trained online by
 //!   Eq. 5.
-//! * [`AutoMc`] — Algorithm 2, the progressive search. Evaluated schemes
-//!   keep their compressed model snapshots, so extending a scheme by one
-//!   strategy costs one strategy execution (the efficiency the paper
-//!   claims for progressive exploration).
+//! * [`AutoMc`] — Algorithm 2, the progressive search. The shared prefix
+//!   cache (`automc_compress::memo`) keeps evaluated schemes' compressed
+//!   models within its byte budget, so extending a scheme by one strategy
+//!   costs one strategy execution (the efficiency the paper claims for
+//!   progressive exploration).
 //! * Baselines: [`Random`], [`EvolutionConfig`] (multi-objective EA),
 //!   [`RlConfig`] (recurrent controller + REINFORCE) — all evaluate
 //!   *complete* schemes, as in the paper.

@@ -1,13 +1,16 @@
 //! Algorithm 2 — AutoMC's progressive search.
 //!
-//! The search space is explored *one strategy at a time*: every evaluated
-//! scheme keeps its compressed model snapshot, each round the evaluator
-//! `F_mo` scores all unexplored one-step extensions of a sampled set of
-//! evaluated schemes (Eq. 4), the predicted-Pareto-optimal extensions are
-//! executed for real (costing a *single* strategy application thanks to
-//! the cached prefix), and `F_mo` is retrained on the observed deltas
-//! (Eq. 5). Newly evaluated schemes join the history and expand the
-//! frontier for the next round.
+//! The search space is explored *one strategy at a time*: each round the
+//! evaluator `F_mo` scores all unexplored one-step extensions of a
+//! sampled set of evaluated schemes (Eq. 4), the predicted-Pareto-optimal
+//! extensions are executed for real (costing a *single* strategy
+//! application thanks to the cached prefix), and `F_mo` is retrained on
+//! the observed deltas (Eq. 5). Newly evaluated schemes join the history
+//! and expand the frontier for the next round.
+//!
+//! The compressed prefix models live in the shared prefix cache
+//! (`automc_compress::memo`), not here: a frontier node holds only its
+//! scheme, metrics, cumulative cost and the extensions already tried.
 
 use crate::context::SearchContext;
 use crate::driver::{Candidate, Searcher};
@@ -15,8 +18,6 @@ use crate::fmo::{Fmo, StepSample};
 use crate::journal::NodeSnapshot;
 use crate::pareto;
 use automc_compress::{EvalCost, Metrics, Scheme, SchemeOutcome, StrategyId};
-use automc_models::serialize;
-use automc_models::ConvNet;
 use automc_tensor::Rng;
 use rand::seq::SliceRandom;
 use std::collections::HashSet;
@@ -45,10 +46,9 @@ impl Default for AutoMcConfig {
     }
 }
 
-/// An evaluated scheme kept alive for extension.
+/// An evaluated scheme open for extension.
 struct Node {
     scheme: Scheme,
-    model: ConvNet,
     metrics: Metrics,
     /// Cumulative execution cost of the scheme from the base model;
     /// one-step extensions are charged their *marginal* cost over this.
@@ -70,30 +70,13 @@ pub struct AutoMc {
     pub cfg: AutoMcConfig,
 }
 
-/// The progressive search's learner: `F_mo`, every evaluated scheme kept
-/// alive for extension, and the extensions proposed this round.
+/// The progressive search's learner: `F_mo`, every evaluated scheme open
+/// for extension, and the extensions proposed this round.
 pub struct Frontier {
     fmo: Fmo,
     nodes: Vec<Node>,
     /// `(node index, strategy)` of each candidate of the current round.
     proposed: Vec<(usize, StrategyId)>,
-}
-
-/// Decode journaled nodes back into live ones. `None` (= start fresh) if
-/// any node model fails to deserialise.
-fn decode_nodes(snapshots: Vec<NodeSnapshot>) -> Option<Vec<Node>> {
-    let mut nodes = Vec::with_capacity(snapshots.len());
-    for snap in snapshots {
-        let model = serialize::model_from_bytes(&snap.model).ok()?;
-        nodes.push(Node {
-            scheme: snap.scheme,
-            model,
-            metrics: snap.metrics,
-            cost: snap.cost,
-            explored: snap.explored.into_iter().collect(),
-        });
-    }
-    Some(nodes)
 }
 
 impl Searcher for AutoMc {
@@ -127,7 +110,6 @@ impl Searcher for AutoMc {
             fmo: Fmo::new(self.embeddings.clone(), rng),
             nodes: vec![Node {
                 scheme: Vec::new(),
-                model: ctx.base_model.clone_net(),
                 metrics: ctx.base_metrics,
                 cost: EvalCost::default(),
                 explored: HashSet::new(),
@@ -230,11 +212,11 @@ impl Searcher for AutoMc {
         ctx: &SearchContext<'_>,
         i: usize,
         scheme: Scheme,
-        evaluated: Option<(ConvNet, SchemeOutcome)>,
+        evaluated: Option<SchemeOutcome>,
     ) {
         let (ni, cand) = fr.proposed[i];
         fr.nodes[ni].explored.insert(cand);
-        let Some((model, outcome)) = evaluated else { return };
+        let Some(outcome) = evaluated else { return };
         let prev = fr.nodes[ni].metrics;
         let metrics = outcome.metrics;
         fr.fmo.observe(StepSample {
@@ -246,7 +228,6 @@ impl Searcher for AutoMc {
         });
         fr.nodes.push(Node {
             scheme,
-            model,
             metrics,
             cost: outcome.cost,
             explored: HashSet::new(),
@@ -270,7 +251,6 @@ impl Searcher for AutoMc {
                     metrics: n.metrics,
                     cost: n.cost,
                     explored,
-                    model: serialize::model_to_bytes(&n.model),
                 }
             })
             .collect();
@@ -284,9 +264,16 @@ impl Searcher for AutoMc {
         state: &[u8],
         nodes: Vec<NodeSnapshot>,
     ) -> Option<()> {
-        let decoded = decode_nodes(nodes)?;
         fr.fmo.restore_state(state)?;
-        fr.nodes = decoded;
+        fr.nodes = nodes
+            .into_iter()
+            .map(|snap| Node {
+                scheme: snap.scheme,
+                metrics: snap.metrics,
+                cost: snap.cost,
+                explored: snap.explored.into_iter().collect(),
+            })
+            .collect();
         Some(())
     }
 }

@@ -15,7 +15,6 @@ use crate::statebytes::{
     read_f32, read_tensor_list, read_u64, take_bytes, write_f32, write_tensor_list, write_u64,
 };
 use automc_compress::{Scheme, SchemeOutcome};
-use automc_models::ConvNet;
 use automc_tensor::nn::Rnn;
 use automc_tensor::optim::{Adam, AdamConfig, AdamState, Optimizer, Param};
 use automc_tensor::{loss, Rng, Tensor};
@@ -298,9 +297,9 @@ impl Searcher for RlConfig {
         ctx: &SearchContext<'_>,
         _i: usize,
         _scheme: Scheme,
-        evaluated: Option<(ConvNet, SchemeOutcome)>,
+        evaluated: Option<SchemeOutcome>,
     ) {
-        if let Some((_, outcome)) = evaluated {
+        if let Some(outcome) = evaluated {
             ctrl.reinforce(self, reward(outcome.ar, outcome.pr, ctx.gamma), ctx.space.len());
         }
     }

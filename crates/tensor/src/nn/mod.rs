@@ -6,7 +6,9 @@
 //! `weight`/`bias` tensors in place and the layer keeps functioning.
 //!
 //! The [`Layer`] contract:
-//! 1. `forward(x, train)` caches whatever the backward pass needs.
+//! 1. `forward(x, train)` caches whatever the backward pass needs. A
+//!    layer may keep nothing from an eval-mode forward (`Conv2d` keeps
+//!    no columns), so a backward follows a train-mode forward.
 //! 2. `backward(grad_out)` *accumulates* into parameter gradients and
 //!    returns the gradient with respect to the input.
 //! 3. `params_mut()` exposes `(value, grad)` pairs for an optimizer.
@@ -32,7 +34,8 @@ use crate::Tensor;
 pub trait Layer {
     /// Compute the output, caching state for [`Layer::backward`].
     ///
-    /// `train` switches layers with train/eval behaviour (batch-norm).
+    /// `train` switches layers with train/eval behaviour (batch-norm), and
+    /// an eval-mode forward need not cache anything for a backward.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Given the loss gradient wrt this layer's output, accumulate

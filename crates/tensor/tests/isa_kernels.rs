@@ -89,9 +89,16 @@ fn conv_instances_are_bit_identical() {
                         let gout = awkward(&y_dims, &mut rng);
                         let run = || {
                             let mut c = conv.clone();
+                            // A fused forward runs in eval mode; backward
+                            // reads the columns of a train-mode forward.
                             let y = match mode {
                                 0 | 1 => c.forward(&x, true),
-                                _ => c.forward_fused_bn(&x, scale.data(), shift.data(), mode == 3),
+                                _ => {
+                                    let (s, t) = (scale.data(), shift.data());
+                                    let y = c.forward_fused_bn(&x, s, t, mode == 3);
+                                    c.forward(&x, true);
+                                    y
+                                }
                             };
                             let gin = c.backward(&gout);
                             vec![y, gin, c.grad_weight, c.grad_bias]

@@ -9,6 +9,16 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
+# Benchmark unit tests: perfbench's own checks of its statistics, span
+# self-time, rusage, metric names, output guards and result digest (well
+# under a second; the end-to-end case stays behind PERFBENCH_E2E=1). No
+# bytecode is written into perfbench/.
+# ---------------------------------------------------------------------------
+echo "== perfbench unit tests =="
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
+echo "perfbench unit tests passed"
+
+# ---------------------------------------------------------------------------
 # Kernel regression gate: re-measure the hot tensor kernels (three passes
 # of interleaved best-of rounds, median per row) and compare against the
 # committed BENCH_baseline.json. Fails on a >15% regression of a gated
