@@ -10,12 +10,13 @@
 //! # Publish protocol (write-once)
 //!
 //! A blob is published under its 64-bit content key by writing a sealed
-//! envelope (`AUTOMCb1` magic + payload + FNV-1a 64 trailer — the same
-//! checksum discipline as the search journal) to a per-process temp file,
-//! fsyncing it, renaming it over `<key:016x>.bin`, and fsyncing the
-//! directory. Readers can observe the old state or the new blob, never a
-//! torn write. Keys are content addresses, so concurrent writers of one
-//! key are idempotent: whoever renames second changes nothing.
+//! envelope (`AUTOMCb1` magic + payload + FNV-1a 64 trailer — the search
+//! journal writes its round checkpoints in the same envelope) to a
+//! per-process temp file, fsyncing it, renaming it over `<key:016x>.bin`,
+//! and fsyncing the directory. Readers can observe the old state or the
+//! new blob, never a torn write. Keys are content addresses, so
+//! concurrent writers of one key are idempotent: whoever renames second
+//! changes nothing.
 //!
 //! # Index (append-only, checksummed, compacted on open)
 //!
@@ -185,14 +186,22 @@ pub fn quarantine_file(path: &Path) -> Option<PathBuf> {
 // Sealed blob envelope
 // ------------------------------------------------------------------------
 
-const BLOB_MAGIC: &[u8; 8] = b"AUTOMCb1";
+/// First bytes of every [`seal`]ed envelope: store blobs and, since they
+/// share the envelope, search journals.
+pub const BLOB_MAGIC: &[u8; 8] = b"AUTOMCb1";
 
-/// Wrap a payload in the store envelope: magic, payload, FNV-1a 64
-/// trailer over everything before it.
-pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 16);
+/// Wrap a payload — the concatenation of `parts` — in the store envelope:
+/// magic, payload, FNV-1a 64 trailer over everything before it. The
+/// envelope is built in one exactly sized buffer, so a caller whose
+/// payload comes in pieces (the search journal's header and learner
+/// state) never joins them first.
+pub fn seal(parts: &[&[u8]]) -> Vec<u8> {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(BLOB_MAGIC.len() + len + 8);
     out.extend_from_slice(BLOB_MAGIC);
-    out.extend_from_slice(payload);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     let checksum = fnv1a64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -631,7 +640,7 @@ impl BlobStore {
             self.append_record(Record::Touch { key, ts });
             return false;
         }
-        let sealed = seal(payload);
+        let sealed = seal(&[payload]);
         let ts = now_ms();
         if fault::tick("spill") == Some(FaultKind::Torn) {
             // Simulate a torn write reaching the final path (a crashed
@@ -1030,14 +1039,16 @@ mod tests {
     #[test]
     fn seal_unseal_roundtrip_and_rejection() {
         let payload = b"hello blob".to_vec();
-        let sealed = seal(&payload);
+        let sealed = seal(&[&payload]);
         assert_eq!(unseal(&sealed), Some(payload.as_slice()));
+        let parts = seal(&[b"hello", b"", b" blob"]);
+        assert_eq!(parts, sealed, "parts are concatenated");
         assert!(unseal(&sealed[..sealed.len() - 1]).is_none(), "truncation");
         let mut bad = sealed.clone();
         bad[10] ^= 0x40;
         assert!(unseal(&bad).is_none(), "bit flip");
         assert!(unseal(b"short").is_none());
-        assert_eq!(unseal(&seal(b"")), Some(&b""[..]), "empty payload");
+        assert_eq!(unseal(&seal(&[])), Some(&b""[..]), "empty payload");
     }
 
     #[test]

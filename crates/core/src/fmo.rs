@@ -198,11 +198,11 @@ impl Fmo {
     pub fn state_to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(STATE_MAGIC);
-        let opt = self.opt.export_state();
+        let (m, v, t) = self.opt.moments();
         write_tensor_list(&mut out, &self.state_tensors());
-        out.extend_from_slice(&opt.t.to_le_bytes());
-        write_tensor_list(&mut out, &opt.m.iter().collect::<Vec<_>>());
-        write_tensor_list(&mut out, &opt.v.iter().collect::<Vec<_>>());
+        out.extend_from_slice(&t.to_le_bytes());
+        write_tensor_list(&mut out, &m.iter().collect::<Vec<_>>());
+        write_tensor_list(&mut out, &v.iter().collect::<Vec<_>>());
         out.extend_from_slice(&(self.samples.len() as u64).to_le_bytes());
         for s in &self.samples {
             out.extend_from_slice(&(s.seq.len() as u64).to_le_bytes());

@@ -9,8 +9,18 @@
 //! cache), the budget spent, the RNG state, and the fault-injection
 //! counters — is written to one journal file. Writes are atomic (temp
 //! file + rename) so a crash mid-write leaves the previous round's journal
-//! intact, and the payload is checksummed (FNV-1a 64) so torn or corrupted
+//! intact, and the file is checksummed (FNV-1a 64) so torn or corrupted
 //! files are detected and treated as "no journal" rather than trusted.
+//!
+//! The file is the blob store's sealed envelope
+//! ([`automc_compress::store::seal`]: magic, payload, FNV-1a 64 trailer)
+//! around `header_len: u64 LE ‖ header ‖ state`. The header is pretty
+//! JSON holding every field but the learner state; the state follows as
+//! raw bytes. The RL controller's state is megabytes and is rewritten
+//! every round, so a save builds one buffer the size of the file and no
+//! text form of the state. Journals written by earlier builds — a JSON
+//! envelope ([`save_checksummed`]) whose payload carries the state as hex
+//! — are recognised by their missing magic and still resume.
 //!
 //! A journal is keyed by a *run fingerprint* hashed from everything that
 //! shapes the run (problem instance, configuration, embeddings, seed); a
@@ -25,6 +35,8 @@
 //! checkpoint.
 
 use crate::history::SearchHistory;
+use crate::statebytes::{read_u64, take_bytes};
+use automc_compress::store::{seal, unseal, BLOB_MAGIC};
 use automc_compress::{EvalCost, Metrics, Scheme, StrategyId};
 use automc_json::{field, obj, ToJson, Value};
 use automc_tensor::fault;
@@ -55,20 +67,10 @@ const HEX_VALUES: [u8; 256] = {
     table
 };
 
-/// Lowercase hex encoding of a byte string. Table-driven: the RL
-/// controller's checkpoint state is megabytes, encoded every round.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
-        s.push(char::from(HEX_DIGITS[usize::from(b & 0x0f)]));
-    }
-    s
-}
-
-/// Decode [`to_hex`] output (either case); `None` on odd length or any
+/// Decode lowercase or uppercase hex, the learner-state encoding of
+/// journals written by earlier builds; `None` on odd length or any
 /// character that is not a hex digit.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+fn from_hex(s: &str) -> Option<Vec<u8>> {
     let digits = s.as_bytes();
     if !digits.len().is_multiple_of(2) {
         return None;
@@ -88,15 +90,17 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
 // Checksummed envelopes
 // ------------------------------------------------------------------------
 
-/// Version of the checksummed-envelope schema. Bump it whenever the
-/// envelope or payload format changes incompatibly; readers treat a
-/// different version as "from another era, start fresh" rather than as
-/// corruption. Envelopes written before the field existed read as v1.
+/// Version of the checksummed JSON envelope schema ([`save_checksummed`]).
+/// Bump it whenever the envelope or payload format changes incompatibly;
+/// readers treat a different version as "from another era, start fresh"
+/// rather than as corruption. Envelopes written before the field existed
+/// read as v1.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// Wrap `payload` in a `{schema, checksum, payload}` envelope and write
-/// it atomically with retry. Shared by the search journal, pre-eval
-/// intent records, and the harness's grid checkpoints.
+/// it atomically with retry. Shared by pre-eval intent records, worker
+/// heartbeats, the harness's grid checkpoints and the orchestrator's
+/// retry journal; search journals written by earlier builds used it too.
 pub fn save_checksummed(path: &Path, payload: &str) -> io::Result<()> {
     let envelope = obj(vec![
         ("schema", SCHEMA_VERSION.to_json()),
@@ -114,22 +118,37 @@ pub fn save_checksummed(path: &Path, payload: &str) -> io::Result<()> {
 /// normal fresh-run case), on a schema from a different era (logged as
 /// such), or on corruption (logged).
 pub fn load_checksummed(path: &Path) -> Option<String> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
+    open_checksummed(path, &read_file(path)?)
+}
+
+/// The bytes of the file at `path`; `None` if it is missing (silent) or
+/// unreadable (logged).
+fn read_file(path: &Path) -> Option<Vec<u8>> {
+    match fs::read(path) {
+        Ok(bytes) => Some(bytes),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
         Err(e) => {
             eprintln!("warning: cannot read journal {}: {e}", path.display());
-            return None;
+            None
         }
-    };
-    let invalid = || {
-        eprintln!(
-            "warning: journal {} is corrupt; starting fresh",
-            path.display()
-        );
-    };
-    let Ok(envelope) = automc_json::parse(&text) else {
-        invalid();
+    }
+}
+
+fn warn_corrupt(path: &Path) {
+    eprintln!(
+        "warning: journal {} is corrupt; starting fresh",
+        path.display()
+    );
+}
+
+/// Validate the bytes of a [`save_checksummed`] envelope read from
+/// `path` and return its payload, logging as [`load_checksummed`] does.
+fn open_checksummed(path: &Path, bytes: &[u8]) -> Option<String> {
+    let Some(envelope) = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|t| automc_json::parse(t).ok())
+    else {
+        warn_corrupt(path);
         return None;
     };
     // Schema drift is not corruption: say so and start fresh.
@@ -151,11 +170,11 @@ pub fn load_checksummed(path: &Path) -> Option<String> {
             .and_then(|c| u64::from_str_radix(c, 16).ok()),
         envelope.get("payload").and_then(|p| p.as_str()),
     ) else {
-        invalid();
+        warn_corrupt(path);
         return None;
     };
     if fnv1a64(payload.as_bytes()) != checksum {
-        invalid();
+        warn_corrupt(path);
         return None;
     }
     Some(payload.to_string())
@@ -247,8 +266,8 @@ pub fn merge_eval_intent(path: &Path, fingerprint: u64, counters: &mut Vec<(Stri
 // Worker heartbeats
 // ------------------------------------------------------------------------
 
-/// One worker heartbeat, written (checksummed + atomic — the same
-/// envelope discipline as the journal itself) by a sharded worker process
+/// One worker heartbeat, written (checksummed + atomic, in the
+/// [`save_checksummed`] envelope) by a sharded worker process
 /// at a fixed cadence and read by its supervisor. The supervisor tracks
 /// `seq` changes against a wall-clock deadline to distinguish a hung
 /// worker from a slow one; `eval` and `tasks_done` report *where* the
@@ -432,7 +451,8 @@ pub struct SearchJournal {
 }
 
 impl SearchJournal {
-    fn to_json(&self) -> Value {
+    /// Every field but the learner state: a sealed journal's header.
+    fn header_json(&self) -> Value {
         let rng_hex = self
             .rng
             .iter()
@@ -445,13 +465,14 @@ impl SearchJournal {
             ("spent", self.spent.to_json()),
             ("rng", Value::Arr(rng_hex)),
             ("history", self.history.to_json()),
-            ("state", Value::Str(to_hex(&self.state))),
             ("nodes", Value::Arr(nodes)),
             ("fault_counters", self.fault_counters.to_json()),
         ])
     }
 
-    fn from_json(v: &Value) -> Option<Self> {
+    /// Decode a header (or an earlier build's whole payload, whose extra
+    /// `state` field is not read here) around the learner `state`.
+    fn from_json(v: &Value, state: Vec<u8>) -> Option<Self> {
         let fingerprint =
             u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok()?;
         let Value::Arr(rng_words) = v.get("rng")? else { return None };
@@ -462,12 +483,6 @@ impl SearchJournal {
         for (dst, w) in rng.iter_mut().zip(rng_words) {
             *dst = u64::from_str_radix(w.as_str()?, 16).ok()?;
         }
-        // `state` replaced the AutoMC-specific `fmo` field when journaling
-        // grew to the baselines; accept the old name.
-        let state_hex = v
-            .get("state")
-            .or_else(|| v.get("fmo"))?
-            .as_str()?;
         let Value::Arr(node_values) = v.get("nodes")? else { return None };
         let mut nodes = Vec::with_capacity(node_values.len());
         for nv in node_values {
@@ -479,42 +494,67 @@ impl SearchJournal {
             spent: field(v, "spent")?,
             rng,
             history: field(v, "history")?,
-            state: from_hex(state_hex)?,
+            state,
             nodes,
             fault_counters: field(v, "fault_counters").unwrap_or_default(),
         })
     }
 }
 
-/// Persist a journal atomically as one checksummed envelope: a crash at
-/// any point leaves either the previous journal or the new one intact.
+/// Persist a journal atomically as one sealed envelope: a crash at any
+/// point leaves either the previous journal or the new one intact.
 pub fn save(path: &Path, journal: &SearchJournal) -> io::Result<()> {
-    save_checksummed(path, &journal.to_json().to_string_pretty())
+    let header = journal.header_json().to_string_pretty();
+    let header_len = (header.len() as u64).to_le_bytes();
+    let sealed = seal(&[&header_len, header.as_bytes(), &journal.state]);
+    write_atomic_retry(path, &sealed)
 }
 
-/// Load a journal, validating the envelope checksum and the run
-/// fingerprint. Any failure — missing file, unparsable JSON, checksum
-/// mismatch, wrong fingerprint — returns `None`; corruption and
-/// mismatches are reported on stderr (a missing file is silent: that is
-/// the normal fresh-run case).
+/// Read the journal at `path`, validating its checksum and format but
+/// not whose run it is (see [`load`]). `None` on a missing file (silent:
+/// the normal fresh-run case) and on an unreadable, corrupt or
+/// undecodable one (logged).
+pub fn decode(path: &Path) -> Option<SearchJournal> {
+    let bytes = read_file(path)?;
+    let journal = if bytes.starts_with(BLOB_MAGIC) {
+        unseal(&bytes).and_then(decode_sealed)
+    } else {
+        // An earlier build's JSON envelope, the state hex in its payload.
+        let payload = open_checksummed(path, &bytes)?;
+        let v = automc_json::parse(&payload).ok();
+        v.as_ref().and_then(decode_json)
+    };
+    if journal.is_none() {
+        warn_corrupt(path);
+    }
+    journal
+}
+
+/// Split a sealed journal's payload into its JSON header and the raw
+/// state after it; `None` if `header_len` runs past the end or the
+/// header is not UTF-8 JSON.
+fn decode_sealed(payload: &[u8]) -> Option<SearchJournal> {
+    let mut r = payload;
+    let header_len = usize::try_from(read_u64(&mut r)?).ok()?;
+    let header = std::str::from_utf8(take_bytes(&mut r, header_len)?).ok()?;
+    let v = automc_json::parse(header).ok()?;
+    SearchJournal::from_json(&v, r.to_vec())
+}
+
+/// Decode an earlier build's JSON payload, whose learner state is hex in
+/// its `state` field — or in `fmo`, the AutoMC-specific name it had
+/// before journaling grew to the baselines.
+fn decode_json(v: &Value) -> Option<SearchJournal> {
+    let state_hex = v.get("state").or_else(|| v.get("fmo"))?.as_str()?;
+    SearchJournal::from_json(v, from_hex(state_hex)?)
+}
+
+/// Load a journal for the run with `fingerprint`: [`decode`] it, then
+/// check the run fingerprint and merge a matching intent record. `None`
+/// on anything [`decode`] rejects and on a journal of a different run
+/// (logged).
 pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
-    let payload = load_checksummed(path)?;
-    let invalid = || {
-        eprintln!(
-            "warning: journal {} is corrupt; starting fresh",
-            path.display()
-        );
-    };
-    let mut journal = match automc_json::parse(&payload)
-        .ok()
-        .and_then(|v| SearchJournal::from_json(&v))
-    {
-        Some(j) => j,
-        None => {
-            invalid();
-            return None;
-        }
-    };
+    let mut journal = decode(path)?;
     if journal.fingerprint != fingerprint {
         eprintln!(
             "warning: journal {} belongs to a different run \
@@ -567,6 +607,17 @@ mod tests {
             }],
             fault_counters: vec![("eval".into(), 5), ("train".into(), 17)],
         }
+    }
+
+    /// Lowercase hex, as earlier builds encoded the learner state (and
+    /// node models) in their JSON journals; builds those journals here.
+    fn to_hex(bytes: &[u8]) -> String {
+        let mut s = String::with_capacity(bytes.len() * 2);
+        for &b in bytes {
+            s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+            s.push(char::from(HEX_DIGITS[usize::from(b & 0x0f)]));
+        }
+        s
     }
 
     /// The `format!`-per-byte encoder and `from_str_radix` decoder this
@@ -676,6 +727,24 @@ mod tests {
         // Not JSON at all.
         fs::write(&path, b"hello").unwrap();
         assert!(load(&path, j.fingerprint).is_none());
+        // Validly sealed, but `header_len` runs past the payload (or the
+        // payload is too short to hold it).
+        let header = j.header_json().to_string_pretty();
+        let overrun = (header.len() + j.state.len() + 1) as u64;
+        for payload in [
+            seal(&[&overrun.to_le_bytes(), header.as_bytes(), &j.state]),
+            seal(&[&u64::MAX.to_le_bytes(), header.as_bytes()]),
+            seal(&[b"short"]),
+        ] {
+            fs::write(&path, payload).unwrap();
+            assert!(load(&path, j.fingerprint).is_none());
+        }
+        // Validly sealed, but the header is not JSON, or not even UTF-8.
+        for header in [&b"not json"[..], &[b'{', 0xff, b'}'][..]] {
+            let len = (header.len() as u64).to_le_bytes();
+            fs::write(&path, seal(&[&len, header, &j.state])).unwrap();
+            assert!(load(&path, j.fingerprint).is_none());
+        }
         discard(&path);
     }
 

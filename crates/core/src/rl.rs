@@ -12,7 +12,8 @@ use crate::context::SearchContext;
 use crate::driver::{Candidate, Searcher};
 use crate::journal::NodeSnapshot;
 use crate::statebytes::{
-    read_f32, read_tensor_list, read_u64, take_bytes, write_f32, write_tensor_list, write_u64,
+    read_f32, read_tensor_list, read_u64, take_bytes, tensor_list_len, write_f32,
+    write_tensor_list, write_u64,
 };
 use automc_compress::{Scheme, SchemeOutcome};
 use automc_tensor::nn::Rnn;
@@ -91,16 +92,19 @@ impl Controller {
     /// are not included: snapshots are taken between episodes, where both
     /// accumulators are zero.
     fn state_to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let weights = [&self.emb, &self.rnn.w_xh, &self.rnn.w_hh, &self.rnn.b, &self.w];
+        let (m, v, t) = self.opt.moments();
+        let m: Vec<&Tensor> = m.iter().collect();
+        let v: Vec<&Tensor> = v.iter().collect();
+        // Sized exactly up front: appending the 13 scalar bytes to a full
+        // buffer would double its megabytes of capacity.
+        let lists = tensor_list_len(&weights) + tensor_list_len(&m) + tensor_list_len(&v);
+        let mut out = Vec::with_capacity(STATE_MAGIC.len() + lists + 13);
         out.extend_from_slice(STATE_MAGIC);
-        write_tensor_list(
-            &mut out,
-            &[&self.emb, &self.rnn.w_xh, &self.rnn.w_hh, &self.rnn.b, &self.w],
-        );
-        let opt = self.opt.export_state();
-        write_u64(&mut out, opt.t);
-        write_tensor_list(&mut out, &opt.m.iter().collect::<Vec<_>>());
-        write_tensor_list(&mut out, &opt.v.iter().collect::<Vec<_>>());
+        write_tensor_list(&mut out, &weights);
+        write_u64(&mut out, t);
+        write_tensor_list(&mut out, &m);
+        write_tensor_list(&mut out, &v);
         write_f32(&mut out, self.baseline);
         out.push(self.baseline_init as u8);
         out
@@ -344,6 +348,7 @@ mod tests {
         a.baseline = 0.37;
         a.baseline_init = true;
         let bytes = a.state_to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len(), "the snapshot is sized exactly");
         let mut b = Controller::new(9, &cfg, &mut rng_from_seed(77));
         b.restore_state(&bytes).expect("snapshot restores");
         assert_eq!(b.state_to_bytes(), bytes, "roundtrip is bitwise");

@@ -35,9 +35,16 @@ pub(crate) fn read_f32(r: &mut &[u8]) -> Option<f32> {
     Some(f32::from_le_bytes(take_bytes(r, 4)?.try_into().ok()?))
 }
 
+/// The number of bytes [`write_tensor_list`] appends for `tensors`.
+pub(crate) fn tensor_list_len(tensors: &[&Tensor]) -> usize {
+    let size = |t: &&Tensor| 8 * (1 + t.dims().len()) + 4 * t.numel();
+    8 + tensors.iter().map(size).sum::<usize>()
+}
+
 /// Append a counted list of tensors (count, then per-tensor rank, dims,
-/// and raw f32 data).
+/// and raw f32 data), reserving its exact size first.
 pub(crate) fn write_tensor_list(out: &mut Vec<u8>, tensors: &[&Tensor]) {
+    out.reserve_exact(tensor_list_len(tensors));
     write_u64(out, tensors.len() as u64);
     for t in tensors {
         write_u64(out, t.dims().len() as u64);

@@ -159,10 +159,7 @@ fn journal_path(tag: &str) -> PathBuf {
 
 /// The run fingerprint a journal on disk was written under.
 fn journal_fingerprint(path: &Path) -> u64 {
-    let payload = journal::load_checksummed(path).expect("journal envelope");
-    let value = automc_json::parse(&payload).expect("journal payload");
-    let hex = value.get("fingerprint").and_then(|f| f.as_str()).expect("fingerprint field");
-    u64::from_str_radix(hex, 16).expect("hex fingerprint")
+    journal::decode(path).expect("journal decodes").fingerprint
 }
 
 fn check_resume_identical(algo: Algo, threads: usize) {

@@ -1,10 +1,12 @@
 //! Pins the journal's on-disk bytes. `tests/golden/rl.journal` holds a
-//! checkpoint written by the schema-v2 encoder: `journal::save` must
-//! reproduce it byte for byte, and `journal::load` must accept it, so
-//! journals written by earlier builds keep resuming.
-//! `tests/golden/v2-node-blobs/` holds the same checkpoint as builds wrote
-//! it while each node's model went to a content-addressed blob store
-//! beside the journal; it must still load, the model reference ignored.
+//! checkpoint in the sealed format (magic, `header_len`, JSON header, raw
+//! learner state, checksum trailer): `journal::save` must reproduce it
+//! byte for byte, and `journal::load` must accept it. Journals written by
+//! earlier builds must keep resuming: `tests/golden/v2-json/` holds the
+//! same checkpoint as the schema-v2 JSON envelope wrote it (state as
+//! hex), and `tests/golden/v2-node-blobs/` as builds wrote it while each
+//! node's model went to a content-addressed blob store beside the
+//! journal, the model reference now ignored. Both must still load.
 
 use automc_compress::{EvalCost, Metrics};
 use automc_core::journal::{self, NodeSnapshot, SearchJournal};
@@ -90,11 +92,22 @@ fn save_reproduces_the_golden_checkpoint_byte_for_byte() {
     assert_eq!(files, 1, "the journal is one file");
     let golden = fs::read(golden_path("rl.journal")).unwrap();
     assert!(written == golden, "rl.journal differs from the golden checkpoint");
+    // Magic, header length, header, the raw 4 KB state, checksum trailer.
+    let header_len = u64::from_le_bytes(golden[8..16].try_into().unwrap()) as usize;
+    assert_eq!(golden.len(), 8 + 8 + header_len + 4096 + 8);
+    assert!(golden[16 + header_len..].starts_with(&golden_journal().state));
 }
 
 #[test]
 fn load_accepts_the_golden_checkpoint() {
     let got = journal::load(&golden_path("rl.journal"), FINGERPRINT).expect("golden journal loads");
+    assert_is_golden(&got);
+}
+
+#[test]
+fn load_accepts_the_v2_json_checkpoint() {
+    let old = golden_path("v2-json/rl.journal");
+    let got = journal::load(&old, FINGERPRINT).expect("schema-v2 JSON journal loads");
     assert_is_golden(&got);
 }
 

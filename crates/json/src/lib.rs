@@ -237,8 +237,8 @@ pub fn strict_parse() -> bool {
 }
 
 /// Write `s` as a JSON string literal. Copies each run of characters that
-/// need no escape in one go: journal payloads are megabytes and are
-/// escaped again when wrapped in their checksummed envelope.
+/// need no escape in one go: a payload wrapped in a checksummed envelope
+/// is escaped a second time.
 fn write_escaped(out: &mut String, s: &str) {
     out.reserve(s.len() + 2);
     out.push('"');

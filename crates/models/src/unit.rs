@@ -1,6 +1,7 @@
 use automc_tensor::linalg;
 use automc_tensor::nn::{
-    relu_mask_grad, relu_with_mask, BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2,
+    relu_in_place, relu_mask_grad, relu_with_mask, BatchNorm2d, Conv2d, GlobalAvgPool, Layer,
+    Linear, MaxPool2,
 };
 use automc_tensor::optim::Param;
 use automc_tensor::{Rng, Tensor};
@@ -382,7 +383,12 @@ impl Layer for BasicBlock {
             Some(s) => sum.add_assign(&s.forward(x, train)),
             None => sum.add_assign(x),
         }
-        self.relu_mask = Some(relu_with_mask(&mut sum));
+        // Only a train-mode forward keeps the mask its backward reads.
+        if train {
+            self.relu_mask = Some(relu_with_mask(&mut sum));
+        } else {
+            relu_in_place(&mut sum);
+        }
         sum
     }
 
@@ -671,6 +677,26 @@ mod tests {
         let x = Tensor::randn(&[2, 4, 8, 8], 1.0, &mut rng);
         let y = b.forward(&x, true);
         assert_eq!(y.dims(), &[2, 8, 4, 4]);
+    }
+
+    #[test]
+    fn block_eval_forward_keeps_no_mask_and_matches_masked_clamp() {
+        let mut rng = rng_from_seed(109);
+        for (in_c, out_c, stride) in [(4, 4, 1), (4, 8, 2)] {
+            let mut b = BasicBlock::new(in_c, out_c, stride, &mut rng);
+            let x = Tensor::randn(&[2, in_c, 8, 8], 1.0, &mut rng);
+            let y = b.forward(&x, false);
+            assert!(b.relu_mask.is_none(), "an eval forward keeps no ReLU mask");
+            let mut sum = b.c2.forward(&b.c1.forward(&x, false), false);
+            match &mut b.shortcut {
+                Some(s) => sum.add_assign(&s.forward(&x, false)),
+                None => sum.add_assign(&x),
+            }
+            relu_with_mask(&mut sum);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&sum));
+            assert!(y.data().contains(&0.0), "the clamp was exercised");
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@ pub fn relu_with_mask(x: &mut Tensor) -> Vec<bool> {
     mask
 }
 
+/// The ReLU forward in place with no mask, for an eval-mode forward that
+/// no backward follows. Bit-identical to [`relu_with_mask`]'s clamp.
+pub fn relu_in_place(x: &mut Tensor) {
+    clamp_kernel(x.data_mut());
+}
+
 /// The ReLU backward in place: zero each element of `grad` whose `mask`
 /// entry (from [`relu_with_mask`]) is false.
 pub fn relu_mask_grad(grad: &mut Tensor, mask: &[bool]) {
@@ -21,6 +27,12 @@ multiversion! {
     fn relu_kernel(x: &mut [f32], mask: &mut [bool]) {
         for (v, m) in x.iter_mut().zip(mask.iter_mut()) {
             *m = *v > 0.0;
+            *v = v.max(0.0);
+        }
+    }
+
+    fn clamp_kernel(x: &mut [f32]) {
+        for v in x {
             *v = v.max(0.0);
         }
     }

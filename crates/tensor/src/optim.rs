@@ -118,7 +118,7 @@ pub struct Adam {
     t: u64,
 }
 
-/// Journaled Adam moment state, exported by [`Adam::export_state`].
+/// Journaled Adam moment state, restored by [`Adam::import_state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdamState {
     /// First-moment estimates, keyed by parameter position.
@@ -135,13 +135,14 @@ impl Adam {
         Adam { cfg, m: Vec::new(), v: Vec::new(), t: 0 }
     }
 
-    /// Snapshot the moment estimates and step count for journaling.
-    pub fn export_state(&self) -> AdamState {
-        AdamState { m: self.m.clone(), v: self.v.clone(), t: self.t }
+    /// The first and second moment estimates and the step count, borrowed
+    /// for journaling.
+    pub fn moments(&self) -> (&[Tensor], &[Tensor], u64) {
+        (&self.m, &self.v, self.t)
     }
 
-    /// Restore a [`Adam::export_state`] snapshot; subsequent steps continue
-    /// exactly where the snapshotted optimizer left off.
+    /// Restore the state [`Adam::moments`] showed; subsequent steps
+    /// continue exactly where the snapshotted optimizer left off.
     pub fn import_state(&mut self, state: AdamState) {
         self.m = state.m;
         self.v = state.v;
@@ -347,7 +348,8 @@ mod tests {
         let mut w_resumed = Tensor::zeros(&[4]);
         descend(&mut first, &mut w_resumed, 25);
         let mut resumed = Adam::new(cfg);
-        resumed.import_state(first.export_state());
+        let (m, v, t) = first.moments();
+        resumed.import_state(AdamState { m: m.to_vec(), v: v.to_vec(), t });
         descend(&mut resumed, &mut w_resumed, 15);
 
         for (a, b) in w_straight.data().iter().zip(w_resumed.data()) {

@@ -4,7 +4,8 @@
  * least 4 KiB with the frame-pointer stack that allocated it. Each time
  * the tracked total passes its previous high by 8 MiB it snapshots the
  * live bytes and blocks per allocating stack; at exit it writes
- * /proc/self/maps and the last snapshot (the tracked peak, to within
+ * /proc/self/maps, the process's peak resident set (VmHWM, from
+ * /proc/self/status) and the last snapshot (the tracked peak, to within
  * 8 MiB) to $PROFILE_SAMPLE_DIR/<pid>.heap.
  * Inactive (a plain pass-through) unless the executable path starts with
  * $PROFILE_EXE_PREFIX, so the compilers and scripts a profiled command
@@ -233,6 +234,18 @@ __attribute__((constructor)) static void start(void) {
     active = blocks && stacks && order && snap;
 }
 
+/* The process's peak resident set (VmHWM) in bytes; 0 if unreadable. */
+static size_t rss_peak(void) {
+    FILE *status = fopen("/proc/self/status", "r");
+    char line[256];
+    size_t kib = 0;
+    if (!status) return 0;
+    while (fgets(line, sizeof line, status))
+        if (sscanf(line, "VmHWM: %zu kB", &kib) == 1) break;
+    fclose(status);
+    return kib << 10;
+}
+
 __attribute__((destructor)) static void stop(void) {
     if (!active) return;
     busy = 1; /* the dump's own stdio allocations stay untracked */
@@ -243,7 +256,7 @@ __attribute__((destructor)) static void stop(void) {
     if (out && maps) {
         while (fgets(line, sizeof line, maps)) fputs(line, out);
         fputs("--\n", out);
-        fprintf(out, "%s %zu %zu\n", exe, snap_total, dropped);
+        fprintf(out, "%s %zu %zu %zu\n", exe, snap_total, dropped, rss_peak());
         for (uint32_t k = 0; k < snap_rows; k++) {
             const struct stack *s = &stacks[snap[k].stack];
             fprintf(out, "%zu %zu", snap[k].live, snap[k].blocks);

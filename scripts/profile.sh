@@ -21,10 +21,14 @@
 # instead: it tracks every live heap block of at least 4 KiB with the
 # stack that allocated it and keeps a snapshot of live bytes per stack
 # each time the tracked total passes its previous high by 8 MiB. The
-# script then lists each sampled process's tracked peak and, for the
-# (up to) three largest, the live bytes and blocks at that peak by
-# allocation site (the innermost workspace frame outside the allocator)
-# and inclusive of every frame. PROFILE_FOCUS filters stacks the same way.
+# script then lists each sampled process's tracked peak beside its peak
+# resident set (VmHWM; the gap is memory outside tracked blocks: small
+# blocks, allocator slack, code, stacks, and the sampler's own tables: a
+# served_search daemon peaks 15-20 MB higher under the sampler than
+# unprofiled) and, for the (up to) three largest, the live bytes and
+# blocks at that peak by allocation site (the innermost workspace frame
+# outside the allocator) and inclusive of every frame. PROFILE_FOCUS
+# filters stacks the same way.
 set -euo pipefail
 [ $# -gt 0 ] || { echo "usage: scripts/profile.sh CMD [ARGS...]" >&2; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -163,7 +167,7 @@ def heap_report():
     procs = []
     for dump in glob.glob(os.path.join(dir_, "*.heap")):
         name, own, lines = load(dump)
-        exe, peak, dropped = lines[0].rsplit(" ", 2)
+        exe, peak, dropped, rss = lines[0].rsplit(" ", 3)
         site_b, incl_b, total = {}, {}, 0
         for line in lines[1:]:
             live, blocks, *pcs = line.split()
@@ -178,15 +182,16 @@ def heap_report():
                 cur = into.get(sym, (0, 0))
                 into[sym] = (cur[0] + live, cur[1] + blocks)
         pid = os.path.basename(dump).split(".")[0]
-        procs.append((int(peak), total, pid, os.path.basename(exe), int(dropped), site_b, incl_b))
+        procs.append((int(peak), total, int(rss), pid, os.path.basename(exe), int(dropped),
+                      site_b, incl_b))
     procs.sort(reverse=True)
     scope = f", stacks with a frame matching {focus!r}" if focus else ""
     print(f"\nlive heap in blocks >= 4 KiB at each process's tracked peak{scope}")
-    print("  peak MiB  shown MiB     pid  executable")
-    for peak, total, pid, exe, dropped, _, _ in procs:
+    print("  peak MiB  shown MiB  rss peak MiB     pid  executable")
+    for peak, total, rss, pid, exe, dropped, _, _ in procs:
         note = f"  ({dropped} blocks untracked: tables full)" if dropped else ""
-        print(f"{peak / 2**20:10.1f} {total / 2**20:10.1f} {pid:>7}  {exe}{note}")
-    for peak, total, pid, exe, _, site_b, incl_b in procs[:3]:
+        print(f"{peak / 2**20:10.1f} {total / 2**20:10.1f} {rss / 2**20:13.1f} {pid:>7}  {exe}{note}")
+    for peak, total, _, pid, exe, _, site_b, incl_b in procs[:3]:
         if not total:
             continue
         print(f"\n== {exe} (pid {pid}): {total / 2**20:.1f} MiB live at its tracked peak ==")
