@@ -1,32 +1,33 @@
-//! JSON result cache shared by the reproduction binaries.
+//! Result cache shared by the reproduction binaries.
 //!
 //! Searches are the expensive part of the pipeline; Table 3 and Figures
 //! 4/6 reuse Table 2's searches through this cache. Files live under
-//! `target/automc-results/` and are plain JSON — inspectable and
-//! hand-deletable.
+//! `target/automc-results/` as `<key>.json`: each is one sealed envelope
+//! (`automc_compress::store::write_sealed`: `AUTOMCb1` magic, payload,
+//! FNV-1a 64 trailer) around a pretty `{fingerprint, value}` JSON payload,
+//! readable after the 8-byte magic and hand-deletable.
 //!
-//! Every entry is wrapped in an envelope carrying a *fingerprint* of the
-//! run configuration (seed + scale-config summary). Keys alone proved
-//! unsafe: a cached Table 2 run from one `--seed`/scale combination was
-//! silently reused for another. A fingerprint mismatch — including any
-//! pre-envelope cache file — is treated as a miss and recomputed.
+//! The *fingerprint* summarises the run configuration (seed + scale
+//! config). Keys alone proved unsafe: a cached Table 2 run from one
+//! `--seed`/scale combination was silently reused for another. A
+//! fingerprint mismatch is treated as a miss and recomputed, and so is an
+//! entry another build wrote (no magic), which the next store overwrites.
 //!
-//! Entries are written atomically (temp file + rename) and carry an
-//! FNV-1a 64 checksum of the payload, so a torn write, truncation, or
-//! bit-flip is detected on load and treated as a logged miss rather than
-//! parsed into garbage results; the corrupt file itself is *moved aside*
-//! into a `quarantine/` directory (the same discipline as the blob
-//! store's healing path, see `automc_compress::store`) so a bad entry can
-//! be post-mortemed while the next store heals the key. The
-//! `corrupt@cache:n` fault site (`automc_tensor::fault`) flips payload
-//! bytes just before the n-th store to exercise that rejection path
-//! deterministically.
+//! Entries are written atomically (temp file + rename), so a torn write,
+//! truncation, or bit-flip fails the envelope checksum on load and is a
+//! logged miss rather than parsed into garbage results; the corrupt file
+//! itself is *moved aside* into a `quarantine/` directory (the same
+//! discipline as the blob store's healing path, see `automc_compress::store`)
+//! so a bad entry can be post-mortemed while the next store heals the key.
+//! The `corrupt@cache:n` fault site (`automc_tensor::fault`) flips a byte
+//! of the n-th stored envelope after sealing to exercise that rejection
+//! path deterministically.
 
-use automc_compress::store::{fnv1a64, quarantine_file, write_atomic_retry};
-use automc_json::{field, obj, FromJson, ToJson, Value};
+use automc_compress::store::{quarantine_file, read_sealed, seal, write_atomic_retry, Absent};
+use automc_json::{field, obj, FromJson, ToJson};
 use automc_tensor::fault::{self, FaultKind};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Latched when a cache write keeps failing after retries: further stores
@@ -56,13 +57,9 @@ pub fn cache_path(key: &str) -> PathBuf {
     cache_dir().join(format!("{key}.json"))
 }
 
-fn read_envelope(key: &str) -> Option<(String, Value)> {
-    read_envelope_at(&cache_path(key), key)
-}
-
 /// Quarantine a corrupt cache entry (moved aside, not deleted) and log
 /// where it went; the next [`store`] of the key heals it.
-fn quarantine_entry(path: &std::path::Path, key: &str, why: &str) {
+fn quarantine_entry(path: &Path, key: &str, why: &str) {
     match quarantine_file(path) {
         Some(dest) => eprintln!(
             "[cache] {key}: {why}; quarantined to {} and recomputing",
@@ -72,73 +69,49 @@ fn quarantine_entry(path: &std::path::Path, key: &str, why: &str) {
     }
 }
 
-fn read_envelope_at(path: &std::path::Path, key: &str) -> Option<(String, Value)> {
-    let text = fs::read_to_string(path).ok()?;
-    let v = match automc_json::parse(&text) {
-        Ok(v) => v,
-        Err(_) => {
-            quarantine_entry(path, key, "unparsable entry");
-            return None;
-        }
-    };
-    // Checksummed format: {"checksum": "<fnv hex>", "payload": "<json>"}.
-    if let (Some(checksum), Some(payload)) = (
-        v.get("checksum")
-            .and_then(|c| c.as_str())
-            .and_then(|c| u64::from_str_radix(c, 16).ok()),
-        v.get("payload").and_then(|p| p.as_str()),
-    ) {
-        if fnv1a64(payload.as_bytes()) != checksum {
+/// Decode the entry at `path` if it was stored under `fingerprint`.
+/// Missing, foreign and mismatched entries are misses; corrupt ones are
+/// quarantined too.
+fn load_at<T: FromJson>(path: &Path, key: &str, fingerprint: &str) -> Option<T> {
+    let payload = match read_sealed(path) {
+        Ok(payload) => payload,
+        Err(Absent::Corrupt) => {
             quarantine_entry(path, key, "checksum mismatch (corrupt entry)");
             return None;
         }
-        let Ok(inner) = automc_json::parse(payload) else {
-            quarantine_entry(path, key, "corrupt payload");
-            return None;
-        };
-        let fp: String = field(&inner, "fingerprint")?;
-        return Some((fp, inner.get("value")?.clone()));
-    }
-    // Pre-checksum envelope: accept it once (it will be rewritten with a
-    // checksum on the next store).
-    let fp: String = field(&v, "fingerprint")?;
-    let value = v.get("value")?.clone();
-    Some((fp, value))
-}
-
-/// Load a cached value if present, parseable, and recorded under the same
-/// fingerprint; anything else is a miss.
-pub fn load<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
-    let (fp, value) = read_envelope(key)?;
+        Err(_) => return None,
+    };
+    let Ok(entry) = automc_json::parse_utf8(&payload) else {
+        quarantine_entry(path, key, "corrupt payload");
+        return None;
+    };
+    let fp: String = field(&entry, "fingerprint")?;
     if fp != fingerprint {
         eprintln!("[cache] {key}: fingerprint mismatch ({fp} != {fingerprint}), recomputing");
         return None;
     }
-    T::from_json(&value)
+    T::from_json(entry.get("value")?)
+}
+
+/// Load a cached value if present, intact, and recorded under the same
+/// fingerprint; anything else is a miss.
+pub fn load<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
+    load_at(&cache_path(key), key, fingerprint)
 }
 
 /// [`load`] from an explicit store directory instead of [`cache_dir`].
 /// The multi-process orchestrator reads worker results this way: each
 /// worker persists into its own isolated sub-store, and the supervisor
 /// merges them without re-pointing its `AUTOMC_RESULTS_DIR`.
-pub fn load_from<T: FromJson>(
-    dir: &std::path::Path,
-    key: &str,
-    fingerprint: &str,
-) -> Option<T> {
-    let (fp, value) = read_envelope_at(&dir.join(format!("{key}.json")), key)?;
-    if fp != fingerprint {
-        eprintln!("[cache] {key}: fingerprint mismatch ({fp} != {fingerprint}), recomputing");
-        return None;
-    }
-    T::from_json(&value)
+pub fn load_from<T: FromJson>(dir: &Path, key: &str, fingerprint: &str) -> Option<T> {
+    load_at(&dir.join(format!("{key}.json")), key, fingerprint)
 }
 
 /// Store a value under a fingerprint. The write is atomic, retried with
-/// backoff, and the payload checksummed, so readers never see a torn or
-/// partially-written entry; a write that still fails after the retries
-/// disables result caching for the rest of the process (retry-then-disable
-/// — the computed value is returned to the caller either way).
+/// backoff, and sealed, so readers never see a torn or partially-written
+/// entry; a write that still fails after the retries disables result
+/// caching for the rest of the process (retry-then-disable — the computed
+/// value is returned to the caller either way).
 pub fn store<T: ToJson>(key: &str, fingerprint: &str, value: &T) {
     if STORE_DISABLED.load(Ordering::Relaxed) {
         return;
@@ -157,23 +130,15 @@ pub fn store<T: ToJson>(key: &str, fingerprint: &str, value: &T) {
         ("value", value.to_json()),
     ])
     .to_string_pretty();
-    // Checksum the intended payload first; an injected corruption fault
-    // then damages the stored bytes *after* checksumming, exactly as a
-    // disk fault or torn write would, so the loader must catch it.
-    let checksum = format!("{:016x}", fnv1a64(payload.as_bytes()));
-    let mut payload_bytes = payload.into_bytes();
+    // An injected corruption fault damages the stored bytes *after*
+    // sealing, exactly as a disk fault or torn write would, so the loader
+    // must catch it.
+    let mut sealed = seal(&[payload.as_bytes()]);
     if fault::tick("cache") == Some(FaultKind::Corrupt) {
-        let mid = payload_bytes.len() / 2;
-        payload_bytes[mid] = payload_bytes[mid].wrapping_add(1);
+        let mid = sealed.len() / 2;
+        sealed[mid] = sealed[mid].wrapping_add(1);
     }
-    let envelope = obj(vec![
-        ("checksum", Value::Str(checksum)),
-        (
-            "payload",
-            Value::Str(String::from_utf8_lossy(&payload_bytes).into_owned()),
-        ),
-    ]);
-    if let Err(e) = write_atomic_retry(&cache_path(key), envelope.to_string_pretty().as_bytes()) {
+    if let Err(e) = write_atomic_retry(&cache_path(key), &sealed) {
         eprintln!(
             "warning: cache entry {key} keeps failing ({e}); result caching \
              disabled for this run"
@@ -203,6 +168,8 @@ pub fn load_or<T: ToJson + FromJson>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use automc_compress::store::fnv1a64;
+    use automc_json::Value;
 
     #[test]
     fn roundtrip_and_load_or() {
@@ -243,6 +210,24 @@ mod tests {
         // Pre-envelope format: the bare value, no fingerprint.
         fs::write(cache_path(key), "[1, 2, 3]\n").unwrap();
         assert_eq!(load::<Vec<u32>>(key, "s1|test"), None);
+        // The `{checksum, payload}` JSON envelope earlier builds wrote,
+        // intact in its own terms: another build's entry, so a miss that
+        // is recomputed and overwritten by the next store.
+        let payload = obj(vec![
+            ("fingerprint", "s1|test".to_json()),
+            ("value", vec![1u32, 2, 3].to_json()),
+        ])
+        .to_string_pretty();
+        let checksum = format!("{:016x}", fnv1a64(payload.as_bytes()));
+        let envelope = obj(vec![
+            ("checksum", Value::Str(checksum)),
+            ("payload", Value::Str(payload)),
+        ]);
+        fs::write(cache_path(key), envelope.to_string_pretty()).unwrap();
+        assert_eq!(load::<Vec<u32>>(key, "s1|test"), None);
+        let v: Vec<u32> = load_or(key, "s1|test", false, || vec![4]);
+        assert_eq!(v, vec![4]);
+        assert_eq!(load::<Vec<u32>>(key, "s1|test"), Some(vec![4]), "healed");
         let _ = std::fs::remove_file(cache_path(key));
     }
 

@@ -6,6 +6,7 @@ use automc_compress::{
     execute_scheme_checked, EvalOutcome, ExecConfig, Metrics, MethodId, Scheme, StrategySpace,
     StrategySpec,
 };
+use automc_compress::store::{fnv1a64, read_sealed, write_sealed};
 use automc_core::journal;
 use automc_core::{
     drive, AutoMc, AutoMcConfig, EvolutionConfig, JournalOptions, Random, RlConfig, RoundControl,
@@ -348,7 +349,7 @@ pub fn degraded_row(name: &str, why: &str) -> FinalRow {
 
 /// Crash-safe checkpoint of an in-progress method-grid run: which
 /// configurations have been scored, the best so far, the RNG stream, and
-/// the fault-injection counters. Written (checksummed + atomic) after
+/// the fault-injection counters. Written (sealed + atomic) after
 /// every grid configuration so a killed `table2` run resumes the grid
 /// bitwise-identically instead of re-running completed configurations.
 struct GridCkpt {
@@ -400,8 +401,8 @@ impl GridCkpt {
     }
 
     fn load(path: &std::path::Path, tag: &str) -> Option<Self> {
-        let payload = journal::load_checksummed(path)?;
-        let ckpt = match automc_json::parse(&payload).ok().as_ref().and_then(Self::from_json) {
+        let payload = read_sealed(path).ok()?;
+        let ckpt = match automc_json::parse_utf8(&payload).ok().as_ref().and_then(Self::from_json) {
             Some(c) => c,
             None => {
                 eprintln!(
@@ -446,7 +447,7 @@ fn method_baseline_row_uncached(
     let mut journal_to = Some(journal_path.as_path());
     // The intent-record fingerprint for this grid run (the grid checkpoint
     // itself is keyed by the string tag; intent records use a u64).
-    let intent_fp = journal::fnv1a64(tag.as_bytes());
+    let intent_fp = fnv1a64(tag.as_bytes());
     if resume_enabled() {
         if let Some(mut ckpt) = GridCkpt::load(&journal_path, &tag) {
             start = ckpt.done.min(grid.len());
@@ -481,7 +482,7 @@ fn method_baseline_row_uncached(
                 rng: rng.state(),
                 fault_counters: fault::counters(),
             };
-            if let Err(e) = journal::save_checksummed(path, &ckpt.to_json().to_string_pretty()) {
+            if let Err(e) = write_sealed(path, &[ckpt.to_json().to_string_pretty().as_bytes()]) {
                 eprintln!(
                     "warning: grid checkpoint {} keeps failing ({e}); \
                      checkpointing disabled for this run",

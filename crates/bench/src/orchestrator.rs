@@ -36,8 +36,8 @@ use crate::harness::{self, degraded_row, run_fingerprint, table2_task_count, Fin
 use crate::scale::{exp1, exp2, smoke, ExperimentScale};
 use crate::transport::DistRunner;
 use crate::BenchArgs;
+use automc_compress::store::{read_sealed, write_sealed};
 use automc_compress::{MethodId, StrategySpace};
-use automc_core::journal;
 use automc_json::{field, obj, FromJson, ToJson, Value};
 use std::path::{Path, PathBuf};
 
@@ -91,7 +91,7 @@ pub fn resolve_scale(name: &str) -> Result<ExperimentScale, String> {
 // ------------------------------------------------------------------------
 
 /// Journaled supervisor state: per-worker retry counters, keyed by a tag
-/// covering the seed and worker count. Written (checksummed, atomic) on
+/// covering the seed and worker count. Written (sealed, atomic) on
 /// every failure event — exactly once per retry — so a restarted
 /// supervisor continues the budget instead of resetting it.
 pub(crate) struct OrchJournal {
@@ -112,8 +112,7 @@ impl OrchJournal {
     }
 
     pub(crate) fn save(&self, path: &Path) {
-        if let Err(e) = journal::save_checksummed(path, &self.to_json().to_string_pretty())
-        {
+        if let Err(e) = write_sealed(path, &[self.to_json().to_string_pretty().as_bytes()]) {
             eprintln!(
                 "warning: orchestrator journal {} keeps failing ({e}); \
                  retry counters will not survive a supervisor restart",
@@ -123,8 +122,8 @@ impl OrchJournal {
     }
 
     pub(crate) fn load(path: &Path, tag: &str, workers: usize) -> Option<Vec<u64>> {
-        let payload = journal::load_checksummed(path)?;
-        let v = automc_json::parse(&payload).ok()?;
+        let payload = read_sealed(path).ok()?;
+        let v = automc_json::parse_utf8(&payload).ok()?;
         let found: String = field(&v, "tag")?;
         if found != tag {
             eprintln!(

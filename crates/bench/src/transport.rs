@@ -15,7 +15,7 @@
 //! | `pull` | — | w → s |
 //! | `task` | `experiment`, `scale`, `seed`, `unit`, `fresh`, `fingerprint`, `params` | s → w |
 //! | `idle` | `ms` (poll again after this long) | s → w |
-//! | `beat` | `hb` (a [`Heartbeat`] record) | w → s |
+//! | `beat` | — | w → s |
 //! | `result` | `experiment`, `scale`, `unit`, `payload` *or* `error` | w → s |
 //! | `shutdown` | — | s → w |
 //!
@@ -36,7 +36,8 @@ use crate::harness::{self, run_fingerprint, unit_key};
 use crate::orchestrator::{self, OrchJournal, WORKER_KILL_EXIT};
 use crate::scale::ExperimentScale;
 use crate::BenchArgs;
-use automc_core::journal::{self, Heartbeat};
+use automc_compress::store::{read_sealed, write_atomic_retry, write_sealed};
+use automc_core::journal;
 use automc_json::wire::{is_timeout, write_frame, FrameReader};
 use automc_json::{field, obj, ToJson, Value};
 use automc_tensor::fault::{self, FaultKind};
@@ -100,8 +101,8 @@ fn f_pull() -> Value {
     obj(vec![("type", "pull".to_json())])
 }
 
-fn f_beat(hb: &Heartbeat) -> Value {
-    obj(vec![("type", "beat".to_json()), ("hb", hb.to_json())])
+fn f_beat() -> Value {
+    obj(vec![("type", "beat".to_json())])
 }
 
 fn f_idle(ms: u64) -> Value {
@@ -167,98 +168,54 @@ fn send(w: &SharedWriter, v: &Value) -> std::io::Result<()> {
 // ------------------------------------------------------------------------
 
 /// Background heartbeat emitter: one `beat` frame per interval through
-/// the shared writer. Freezing it (the injected hang) stops all further
-/// beats without stopping the process. Send failures are rate-limited:
-/// the first is logged, the rest are counted and summarised at finish —
-/// a supervisor that went away would otherwise spam one warning per
-/// interval for the rest of the run.
+/// the shared writer. A beat carries nothing but its arrival: the
+/// supervisor counts any frame as a sign of life. Freezing the emitter
+/// (the injected hang) stops all further beats without stopping the
+/// process. Send failures are rate-limited: the first is logged, the rest
+/// are counted and summarised at finish — a supervisor that went away
+/// would otherwise spam one warning per interval for the rest of the run.
 struct Emitter {
     stop: Arc<AtomicBool>,
     frozen: Arc<AtomicBool>,
-    tasks_done: Arc<AtomicU64>,
-    warned: Arc<AtomicBool>,
-    suppressed: Arc<AtomicU64>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-    writer: SharedWriter,
+    failures: Arc<AtomicU64>,
+    handle: std::thread::JoinHandle<()>,
     worker: u64,
 }
 
 impl Emitter {
-    fn send_beat(
-        writer: &SharedWriter,
-        hb: &Heartbeat,
-        warned: &AtomicBool,
-        suppressed: &AtomicU64,
-    ) {
-        if let Err(e) = send(writer, &f_beat(hb)) {
-            if warned.swap(true, Ordering::Relaxed) {
-                suppressed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                eprintln!(
-                    "warning: worker {} cannot send heartbeat: {e}; \
-                     suppressing further heartbeat warnings",
-                    hb.worker
-                );
-            }
-        }
-    }
-
     fn start(worker: u64, writer: SharedWriter, interval_ms: u64) -> Emitter {
         let stop = Arc::new(AtomicBool::new(false));
         let frozen = Arc::new(AtomicBool::new(false));
-        let tasks_done = Arc::new(AtomicU64::new(0));
-        let warned = Arc::new(AtomicBool::new(false));
-        let suppressed = Arc::new(AtomicU64::new(0));
-        let beat = move |seq: u64, tasks: u64, done: bool| Heartbeat {
-            worker,
-            pid: std::process::id() as u64,
-            seq,
-            eval: fault::eval_ordinal(),
-            tasks_done: tasks,
-            done,
+        let failures = Arc::new(AtomicU64::new(0));
+        let beat = {
+            let failures = Arc::clone(&failures);
+            move || {
+                if let Err(e) = send(&writer, &f_beat()) {
+                    if failures.fetch_add(1, Ordering::Relaxed) == 0 {
+                        eprintln!(
+                            "warning: worker {worker} cannot send heartbeat: {e}; \
+                             suppressing further heartbeat warnings"
+                        );
+                    }
+                }
+            }
         };
         // First beat synchronously, so the supervisor's staleness clock
         // starts from a real frame rather than from thread scheduling.
-        Emitter::send_beat(&writer, &beat(1, 0, false), &warned, &suppressed);
+        beat();
         let handle = {
             let stop = Arc::clone(&stop);
             let frozen = Arc::clone(&frozen);
-            let tasks_done = Arc::clone(&tasks_done);
-            let warned = Arc::clone(&warned);
-            let suppressed = Arc::clone(&suppressed);
-            let writer = Arc::clone(&writer);
             std::thread::spawn(move || {
-                let mut seq = 1u64;
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(interval_ms));
-                    if frozen.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed) {
-                        continue;
+                    if !frozen.load(Ordering::Relaxed) && !stop.load(Ordering::Relaxed) {
+                        beat();
                     }
-                    seq += 1;
-                    Emitter::send_beat(
-                        &writer,
-                        &beat(seq, tasks_done.load(Ordering::Relaxed), false),
-                        &warned,
-                        &suppressed,
-                    );
                 }
-                seq
             })
         };
-        Emitter {
-            stop,
-            frozen,
-            tasks_done,
-            warned,
-            suppressed,
-            handle: Some(handle),
-            writer,
-            worker,
-        }
-    }
-
-    fn bump_tasks(&self) {
-        self.tasks_done.fetch_add(1, Ordering::Relaxed);
+        Emitter { stop, frozen, failures, handle, worker }
     }
 
     /// Injected hang: no further beats, ever.
@@ -266,20 +223,11 @@ impl Emitter {
         self.frozen.store(true, Ordering::Relaxed);
     }
 
-    /// Stop the thread and send the final `done` beat.
-    fn finish(mut self) {
+    /// Stop the thread and summarise the send failures it did not log.
+    fn finish(self) {
         self.stop.store(true, Ordering::Relaxed);
-        let seq = self.handle.take().map_or(0, |h| h.join().unwrap_or(0));
-        let last = Heartbeat {
-            worker: self.worker,
-            pid: std::process::id() as u64,
-            seq: seq + 1,
-            eval: fault::eval_ordinal(),
-            tasks_done: self.tasks_done.load(Ordering::Relaxed),
-            done: true,
-        };
-        Emitter::send_beat(&self.writer, &last, &self.warned, &self.suppressed);
-        let suppressed = self.suppressed.load(Ordering::Relaxed);
+        let _ = self.handle.join();
+        let suppressed = self.failures.load(Ordering::Relaxed).saturating_sub(1);
         if suppressed > 0 {
             eprintln!(
                 "warning: worker {}: suppressed {suppressed} repeated heartbeat \
@@ -506,7 +454,6 @@ fn run_task_frame(
     send(writer, &f_result(&experiment, &scale_name, unit, &outcome))
         .map_err(|e| format!("result: {e}"))?;
     if completed {
-        emitter.bump_tasks();
         *units_done += 1;
         if *units_done == 1 && directive == "kill" {
             eprintln!(
@@ -946,7 +893,7 @@ impl DistRunner {
         if let Some(path) = &args.addr_file {
             // Atomic (with retry) so a script polling the file never
             // reads a torn address, even across a transient write hiccup.
-            automc_compress::store::write_atomic_retry(path, addr.to_string().as_bytes())?;
+            write_atomic_retry(path, addr.to_string().as_bytes())?;
         }
         let state = Arc::new(Mutex::new(SuperState {
             conns: Vec::new(),
@@ -1007,9 +954,10 @@ impl DistRunner {
         let dist_ticks_path = root.join(format!("dist-ticks-s{}.journal", args.seed));
         let mut dist_ticks = 0u64;
         if dist_faults && harness::resume_enabled() {
-            if let Some(n) = std::fs::read_to_string(&dist_ticks_path)
+            if let Some(n) = read_sealed(&dist_ticks_path)
                 .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
+                .and_then(|payload| <[u8; 8]>::try_from(&*payload).ok())
+                .map(u64::from_le_bytes)
             {
                 fault::restore_counters(&[("dist".to_string(), n)]);
                 dist_ticks = n;
@@ -1280,9 +1228,9 @@ impl DistRunner {
                             // tick injects an exit, the restarted supervisor
                             // restores the counter past it and the fault
                             // fires exactly once across resumes.
-                            let _ = automc_compress::store::write_atomic_retry(
+                            let _ = write_sealed(
                                 &self.dist_ticks_path,
-                                self.dist_ticks.to_string().as_bytes(),
+                                &[&self.dist_ticks.to_le_bytes()],
                             );
                         }
                         fault::tick("dist");

@@ -38,7 +38,7 @@ fn table2(results: &Path, shared: Option<&Path>, args: &[&str]) -> Output {
         }
     }
     // Stray state from the invoking environment must not leak in.
-    for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT", "AUTOMC_HEARTBEAT_FILE"] {
+    for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT"] {
         cmd.env_remove(k);
     }
     cmd.output().expect("table2 binary must spawn")
@@ -145,7 +145,6 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
         .env("AUTOMC_SHARED_RESULTS_DIR", &serial_dir)
         .env_remove("AUTOMC_FAULTS")
         .env_remove("AUTOMC_WORKER_FAULT")
-        .env_remove("AUTOMC_HEARTBEAT_FILE")
         .stdout(std::process::Stdio::null())
         .stderr(std::fs::File::create(&log).expect("stderr log"));
     let mut supervisor = cmd.spawn().expect("table2 binary must spawn");

@@ -65,7 +65,7 @@
 use crate::methods::ExecConfig;
 use crate::scheme::{EvalCost, Metrics, StepRecord};
 use crate::space::{StrategyId, StrategySpace};
-use crate::store::BlobStore;
+use crate::store::{fnv1a64, BlobStore, Fnv};
 use automc_data::ImageSet;
 use automc_models::{serialize, ConvNet};
 use automc_tensor::{rng_for_task, Rng};
@@ -79,40 +79,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 // Fingerprinting
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Running FNV-1a 64 hasher (the workspace's journal/cache checksum).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.finish()
-}
-
 /// Structural fingerprint of a model (architecture and weight bits).
 pub fn model_fingerprint(net: &ConvNet) -> u64 {
     fnv1a64(&serialize::model_to_bytes(net))
@@ -120,7 +86,7 @@ pub fn model_fingerprint(net: &ConvNet) -> u64 {
 
 /// Content fingerprint of a dataset (dims, labels, pixel bits).
 pub fn dataset_fingerprint(set: &ImageSet) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     let (c, ht, w) = set.image_dims();
     for v in [set.len() as u64, set.classes() as u64, c as u64, ht as u64, w as u64] {
         h.write_u64(v);
@@ -137,7 +103,7 @@ pub fn dataset_fingerprint(set: &ImageSet) -> u64 {
 }
 
 fn exec_fingerprint(cfg: &ExecConfig) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.write_u64(u64::from(cfg.pretrain_epochs.to_bits()));
     h.write_u64(cfg.batch_size as u64);
     h.write_u64(u64::from(cfg.lr.to_bits()));
@@ -154,7 +120,7 @@ fn exec_fingerprint(cfg: &ExecConfig) -> u64 {
 /// else — not the search that asked, not the steps' wall-clock order,
 /// not how much of the prefix came from the memo cache.
 pub fn step_rng(eval_seed: u64, prefix: &[StrategyId]) -> Rng {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.write(b"automc-step-rng-v1");
     h.write_u64(eval_seed);
     for &sid in prefix {
@@ -173,7 +139,7 @@ pub(crate) fn prefix_keys(
     scheme: &[StrategyId],
     space: &StrategySpace,
 ) -> Vec<u64> {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.write(b"automc-memo-v1");
     // Kernel numerics version: memoised metrics are float outputs of the
     // tensor kernels, so entries computed under different kernel numerics
@@ -608,7 +574,10 @@ pub fn gc_spill_store() -> u64 {
     store.gc(disk_budget_cell().load(Ordering::Relaxed))
 }
 
-const SPILL_MAGIC: &[u8; 8] = b"AUTOMCm1";
+/// First bytes of a spill payload, inside the store's sealed envelope.
+/// The envelope carries the checksum; this names the payload's version,
+/// so a blob of another version fails [`decode`] and is healed.
+const SPILL_MAGIC: &[u8; 8] = b"AUTOMCm2";
 
 fn encode_cost(out: &mut Vec<u8>, c: &EvalCost) {
     out.extend_from_slice(&c.trained_images.to_le_bytes());
@@ -656,8 +625,6 @@ fn encode(value: &Cached) -> Vec<u8> {
             out.extend_from_slice(&train_batches.to_le_bytes());
         }
     }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -714,16 +681,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode(bytes: &[u8]) -> Option<Cached> {
-    if bytes.len() < SPILL_MAGIC.len() + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut cks = [0u8; 8];
-    cks.copy_from_slice(tail);
-    if fnv1a64(body) != u64::from_le_bytes(cks) {
-        return None;
-    }
+/// Decode a spill payload; `None` on another version's magic, a field
+/// running past the end, or trailing bytes.
+fn decode(body: &[u8]) -> Option<Cached> {
     let mut r = Reader { buf: body, pos: 0 };
     if r.take(SPILL_MAGIC.len())? != SPILL_MAGIC {
         return None;
@@ -782,10 +742,8 @@ fn decode(bytes: &[u8]) -> Option<Cached> {
 fn spill_store(key: u64, value: &Cached) {
     let Some(store) = spill_store_handle() else { return };
     // The blob store's publish is write-once and crash-safe (temp +
-    // fsync + rename); content addressing makes a lost same-key race
-    // identical by construction. The memo codec's own magic + checksum
-    // ride inside the store envelope — defence in depth, and the decoder
-    // keeps rejecting damaged payloads even on legacy-format blobs.
+    // fsync + rename), and its envelope checksums the payload; content
+    // addressing makes a lost same-key race identical by construction.
     if store.publish(key, &encode(value))
         && store.total_bytes() > disk_budget_cell().load(Ordering::Relaxed)
     {
@@ -794,7 +752,10 @@ fn spill_store(key: u64, value: &Cached) {
 }
 
 fn spill_load(key: u64) -> Option<Cached> {
-    let store = spill_store_handle()?;
+    spill_load_from(&*spill_store_handle()?, key)
+}
+
+fn spill_load_from(store: &BlobStore, key: u64) -> Option<Cached> {
     // `get` verifies the store envelope, quarantines corruption, and
     // turns sibling-evict races into clean misses; recency touches are
     // index records now, not mtime writes.
@@ -802,13 +763,14 @@ fn spill_load(key: u64) -> Option<Cached> {
     match decode(&bytes) {
         Some(v) => Some(v),
         None => {
-            // Sealed but nonsense at the memo layer (e.g. a legacy blob
-            // republished under a colliding key): heal it the same way
-            // the store heals envelope corruption — quarantine, log,
-            // recompute, re-spill.
+            // Sealed, but a payload this build does not decode (another
+            // build's version): heal it the same way the store heals
+            // envelope corruption, since a write-once key is republished
+            // only once the blob is gone — quarantine, log, recompute,
+            // re-spill.
             eprintln!(
-                "warning: memo spill blob {key:016x} failed payload decode; \
-                 quarantining"
+                "warning: memo spill blob {key:016x} is not a payload this build \
+                 decodes; quarantining"
             );
             store.quarantine(key);
             None
@@ -1015,13 +977,45 @@ mod tests {
             }
             _ => panic!("failed-entry roundtrip failed"),
         }
-        // Any single-bit corruption is rejected by the checksum.
-        let mut bad = encode(&value);
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x10;
-        assert!(decode(&bad).is_none());
-        assert!(decode(&bad[..bad.len() - 3]).is_none(), "truncation");
+        let bytes = encode(&value);
+        assert!(decode(&bytes[..bytes.len() - 3]).is_none(), "truncation");
         assert!(decode(&[]).is_none());
+
+        // A flipped byte in a spilled blob on disk fails the store
+        // envelope's checksum: a miss, quarantined, and healed by the
+        // next spill.
+        let dir = std::env::temp_dir().join(format!(
+            "automc-memo-codec-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = BlobStore::open(&dir).unwrap();
+        let key = 0x5eed_u64;
+        let blob = dir.join(format!("{key:016x}.bin"));
+        assert!(store.publish(key, &bytes));
+        let mut on_disk = std::fs::read(&blob).unwrap();
+        let mid = on_disk.len() / 2;
+        on_disk[mid] ^= 0x10;
+        std::fs::write(&blob, &on_disk).unwrap();
+        assert!(spill_load_from(&store, key).is_none(), "bit flip must miss");
+        assert!(!blob.exists(), "the damaged blob is moved aside");
+        assert_eq!(std::fs::read_dir(dir.join("quarantine")).unwrap().count(), 1);
+        assert!(store.publish(key, &bytes), "the freed key is republished");
+        assert!(matches!(spill_load_from(&store, key), Some(Cached::Good { .. })));
+
+        // An earlier build's payload (`AUTOMCm1`, its own FNV trailer),
+        // validly sealed: another version, so a quarantined miss too.
+        let mut old = bytes.clone();
+        old[..8].copy_from_slice(b"AUTOMCm1");
+        let trailer = fnv1a64(&old);
+        old.extend_from_slice(&trailer.to_le_bytes());
+        let old_key = 0x01d_u64;
+        assert!(store.publish(old_key, &old));
+        assert!(spill_load_from(&store, old_key).is_none(), "another version must miss");
+        assert_eq!(std::fs::read_dir(dir.join("quarantine")).unwrap().count(), 2);
+        assert!(store.publish(old_key, &bytes), "the freed key is republished");
+        assert!(matches!(spill_load_from(&store, old_key), Some(Cached::Good { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

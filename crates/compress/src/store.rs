@@ -4,16 +4,26 @@
 //! 180–225x search speedup, and the serve daemon plus N orchestrator
 //! workers all point at one spill directory. That directory therefore has
 //! to survive concurrent, crashing, adversarial clients. This module is
-//! that store; `automc_compress::memo` spills through it and the bench
-//! result cache rides its durable-write primitives.
+//! that store; `automc_compress::memo` spills through it.
+//!
+//! # One sealed format
+//!
+//! Every file the program persists is one sealed envelope ([`seal`]):
+//! the `AUTOMCb1` magic, the payload, and an FNV-1a 64 trailer over both.
+//! Store blobs are sealed by [`BlobStore::publish`]; every other record —
+//! search journals, intent records, grid checkpoints, result-cache
+//! entries, the retry journal and the dist-tick counter — is written by
+//! [`write_sealed`] and read back by [`read_sealed`], and keeps only its
+//! payload, its own run check and its failure policy. The magic is the
+//! one format version: a file without it comes from another build and
+//! reads as absent (logged), so a run interrupted under another build
+//! reruns instead of resuming.
 //!
 //! # Publish protocol (write-once)
 //!
 //! A blob is published under its 64-bit content key by writing a sealed
-//! envelope (`AUTOMCb1` magic + payload + FNV-1a 64 trailer — the search
-//! journal writes its round checkpoints in the same envelope) to a
-//! per-process temp file, fsyncing it, renaming it over `<key:016x>.bin`,
-//! and fsyncing the directory. Readers can observe the old state or the
+//! envelope to a per-process temp file, fsyncing it, renaming it over
+//! `<key:016x>.bin`, and fsyncing the directory. Readers can observe the old state or the
 //! new blob, never a torn write. Keys are content addresses, so
 //! concurrent writers of one key are idempotent: whoever renames second
 //! changes nothing.
@@ -79,17 +89,45 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 // ------------------------------------------------------------------------
-// Durable-write primitives (shared: the search journal re-exports these)
+// Durable-write primitives
 // ------------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash — the workspace-wide journal/cache/store checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Running FNV-1a 64 hasher: the workspace-wide checksum of every sealed
+/// file and index record, and the content fingerprint of the memo keys.
+#[derive(Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv {
+    /// Hash `bytes` into the running state.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Hash `v` as its 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64 of `bytes` in one call.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Write `bytes` to `path` atomically and durably: write a sibling temp
@@ -183,11 +221,12 @@ pub fn quarantine_file(path: &Path) -> Option<PathBuf> {
 }
 
 // ------------------------------------------------------------------------
-// Sealed blob envelope
+// Sealed envelope: the one format of every file the program persists
 // ------------------------------------------------------------------------
 
-/// First bytes of every [`seal`]ed envelope: store blobs and, since they
-/// share the envelope, search journals.
+/// First bytes of every [`seal`]ed envelope: store blobs and every file
+/// written by [`write_sealed`]. It is the one format version of all of
+/// them: a file without it was written by another build.
 pub const BLOB_MAGIC: &[u8; 8] = b"AUTOMCb1";
 
 /// Wrap a payload — the concatenation of `parts` — in the store envelope:
@@ -220,6 +259,59 @@ pub fn unseal(bytes: &[u8]) -> Option<&[u8]> {
         return None;
     }
     body.strip_prefix(BLOB_MAGIC)
+}
+
+/// [`seal`] `parts` and write the envelope to `path` with
+/// [`write_atomic_retry`]: the writer of every record outside the blob
+/// store (search journals, intent records, grid checkpoints, result-cache
+/// entries, the retry journal, the dist-tick counter).
+pub fn write_sealed(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
+    write_atomic_retry(path, &seal(parts))
+}
+
+/// A file read by [`read_sealed`]: its bytes, dereferencing to the payload
+/// between the magic and the checksum trailer, so reading never copies
+/// the payload.
+pub struct Sealed(Vec<u8>);
+
+impl std::ops::Deref for Sealed {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[BLOB_MAGIC.len()..self.0.len() - 8]
+    }
+}
+
+/// Why [`read_sealed`] returned no payload. Every case reads as absent;
+/// a caller that heals one case differently (the result cache quarantines
+/// corrupt entries) matches on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Absent {
+    /// No file: the normal fresh-run case, not logged.
+    Missing,
+    /// The read failed (logged).
+    Unreadable,
+    /// No [`BLOB_MAGIC`]: another build wrote it (logged).
+    Foreign,
+    /// Sealed, but truncated or failing its checksum (logged).
+    Corrupt,
+}
+
+/// Read and validate the sealed file at `path`: the reader of every file
+/// [`write_sealed`] writes. A missing file is silent; an unreadable,
+/// foreign or corrupt one is logged once, here, and reads as absent.
+pub fn read_sealed(path: &Path) -> Result<Sealed, Absent> {
+    let (absent, why) = match fs::read(path) {
+        Ok(bytes) if unseal(&bytes).is_some() => return Ok(Sealed(bytes)),
+        Ok(bytes) if !bytes.starts_with(BLOB_MAGIC) => {
+            (Absent::Foreign, "was written by another build".to_string())
+        }
+        Ok(_) => (Absent::Corrupt, "is corrupt".to_string()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(Absent::Missing),
+        Err(e) => (Absent::Unreadable, format!("cannot be read ({e})")),
+    };
+    eprintln!("warning: {} {why}; treating it as absent", path.display());
+    Err(absent)
 }
 
 // ------------------------------------------------------------------------
@@ -1049,6 +1141,51 @@ mod tests {
         assert!(unseal(&bad).is_none(), "bit flip");
         assert!(unseal(b"short").is_none());
         assert_eq!(unseal(&seal(&[])), Some(&b""[..]), "empty payload");
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Streaming in pieces hashes the concatenation.
+        let mut h = Fnv::default();
+        h.write(b"foo");
+        h.write(b"");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn read_sealed_returns_the_payload_and_rejects_everything_else() {
+        let dir = tmp("read-sealed");
+        let path = dir.join("record");
+        assert_eq!(read_sealed(&path).err(), Some(Absent::Missing));
+        write_sealed(&path, &[b"{\"a\": ", b"1}"]).unwrap();
+        let sealed = fs::read(&path).unwrap();
+        assert_eq!(&*read_sealed(&path).unwrap(), b"{\"a\": 1}");
+        // A file with no magic, and the `{schema, checksum, payload}`
+        // JSON envelope earlier builds wrote: another build's files.
+        let payload = "{\"a\": 1}";
+        let envelope = format!(
+            "{{\n  \"schema\": 2,\n  \"checksum\": \"{:016x}\",\n  \"payload\": {payload:?}\n}}",
+            fnv1a64(payload.as_bytes())
+        );
+        for foreign in [&b"plain text"[..], envelope.as_bytes(), b""] {
+            fs::write(&path, foreign).unwrap();
+            assert_eq!(read_sealed(&path).err(), Some(Absent::Foreign));
+        }
+        // A flipped byte anywhere after the magic, or a truncation.
+        let mut flipped = sealed.clone();
+        flipped[12] ^= 0x01;
+        for corrupt in [&flipped[..], &sealed[..sealed.len() - 1], &sealed[..10]] {
+            fs::write(&path, corrupt).unwrap();
+            assert_eq!(read_sealed(&path).err(), Some(Absent::Corrupt));
+        }
+        // A directory where the file should be cannot be read.
+        assert_eq!(read_sealed(&dir).err(), Some(Absent::Unreadable));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

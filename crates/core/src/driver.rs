@@ -15,6 +15,7 @@ use crate::context::SearchContext;
 use crate::history::{EvalRecord, EvalStatus, SearchHistory};
 use crate::journal::{self, JournalOptions, NodeSnapshot, SearchJournal};
 use crate::progress::{RoundControl, RoundEvent};
+use automc_compress::store::fnv1a64;
 use automc_compress::{execute_scheme_checked, EvalOutcome, Scheme, SchemeOutcome};
 use automc_tensor::{fault, Rng};
 
@@ -110,7 +111,7 @@ fn search_fingerprint<S: Searcher>(
         buf.extend_from_slice(&w.to_le_bytes());
     }
     buf.extend(searcher.fingerprint_tail());
-    journal::fnv1a64(&buf)
+    fnv1a64(&buf)
 }
 
 /// Run `searcher` until the budget is exhausted or it has nothing left to

@@ -302,6 +302,29 @@ fn undecodable_journal_state_starts_a_fresh_run() {
     }
 }
 
+/// A journal written by an earlier build (`tests/golden/v2-json/`: the
+/// `{schema, checksum, payload}` JSON envelope) is another build's file:
+/// it reads as no journal, so the run starts fresh, equals the reference,
+/// and deletes the journal it wrote over it on completion.
+#[test]
+fn an_earlier_builds_journal_restarts_the_run() {
+    let algo = Algo::Rl;
+    let (base, train_set, eval_set) = fixture(algo);
+    par::with_threads(1, || {
+        let reference = run(algo, &base, &train_set, &eval_set, &JournalOptions::default());
+        let path = journal_path("rl-earlier-build");
+        let golden =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2-json/rl.journal");
+        fs::copy(golden, &path).expect("copy the earlier build's journal");
+        assert!(journal::decode(&path).is_none(), "another build's journal is absent");
+
+        let history =
+            run(algo, &base, &train_set, &eval_set, &JournalOptions::resuming(path.clone()));
+        assert_eq!(fingerprint(&history), fingerprint(&reference));
+        assert!(!path.exists(), "the fresh run completes and deletes its journal");
+    });
+}
+
 /// A journal path under a regular file cannot be written: the first
 /// checkpoint fails after its retries, journaling is disabled, and the
 /// run finishes with the reference history and no journal.

@@ -237,8 +237,7 @@ pub fn strict_parse() -> bool {
 }
 
 /// Write `s` as a JSON string literal. Copies each run of characters that
-/// need no escape in one go: a payload wrapped in a checksummed envelope
-/// is escaped a second time.
+/// need no escape in one go.
 fn write_escaped(out: &mut String, s: &str) {
     out.reserve(s.len() + 2);
     out.push('"');
@@ -280,6 +279,12 @@ pub fn parse(text: &str) -> Result<Value, String> {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// [`parse`] a document held as bytes, such as a sealed record's payload;
+/// bytes that are not UTF-8 are an error too.
+pub fn parse_utf8(bytes: &[u8]) -> Result<Value, String> {
+    parse(std::str::from_utf8(bytes).map_err(|e| e.to_string())?)
 }
 
 struct Parser<'a> {

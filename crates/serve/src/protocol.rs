@@ -88,7 +88,7 @@ impl JobSpec {
     pub fn job_id(&self, scale: &automc_bench::scale::ExperimentScale) -> String {
         let fp = automc_bench::harness::run_fingerprint(scale, self.seed);
         let key = format!("{fp}|{}|f{}|{}", self.kind.name(), self.fresh as u8, self.label);
-        format!("{:016x}", automc_core::journal::fnv1a64(key.as_bytes()))
+        format!("{:016x}", automc_compress::store::fnv1a64(key.as_bytes()))
     }
 }
 

@@ -35,7 +35,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to break at a fault site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,19 +352,6 @@ pub fn site_schedule(site: &str) -> Vec<(u64, FaultKind)> {
     })
 }
 
-/// Process-wide count of `eval`-site probes, independent of any fault
-/// plan and shared across threads: a cheap liveness/progress signal. The
-/// orchestrator's heartbeat emitter reports it so a supervisor can see
-/// *which* evaluation a worker is on, not merely that it is alive.
-static EVAL_ORDINAL: AtomicU64 = AtomicU64::new(0);
-
-/// Total `fault::tick("eval")` probes this process has executed — the
-/// number of supervised evaluations started, counted even when no fault
-/// plan is installed.
-pub fn eval_ordinal() -> u64 {
-    EVAL_ORDINAL.load(Ordering::Relaxed)
-}
-
 /// Probe a fault site: bump its per-thread counter and return the fault
 /// scheduled for this visit, if any. Call exactly once per guarded
 /// operation.
@@ -374,9 +360,6 @@ pub fn eval_ordinal() -> u64 {
 /// immediately (exit code [`INJECTED_EXIT_CODE`]), simulating a hard kill
 /// that no `catch_unwind` can absorb — only a checkpoint survives it.
 pub fn tick(site: &str) -> Option<FaultKind> {
-    if site == "eval" {
-        EVAL_ORDINAL.fetch_add(1, Ordering::Relaxed);
-    }
     let hit = STATE.with(|s| {
         let mut state = s.borrow_mut();
         let state = state.get_or_insert_with(|| FaultState {
@@ -499,17 +482,6 @@ mod tests {
             plan.scheduled.get(&("worker".into(), 3)),
             Some(&FaultKind::Hang)
         );
-    }
-
-    #[test]
-    fn eval_ordinal_counts_eval_ticks_without_a_plan() {
-        clear();
-        let before = eval_ordinal();
-        tick("eval");
-        tick("eval");
-        // The counter is process-global and other tests may tick
-        // concurrently, so assert monotonicity, not an exact delta.
-        assert!(eval_ordinal() >= before + 2);
     }
 
     #[test]

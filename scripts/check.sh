@@ -74,6 +74,14 @@ if [ "$kill_code" -ne 87 ]; then
     exit 1
 fi
 ls "$res_dir"/*.journal >/dev/null  # the killed search must leave a journal
+# Every file the killed run persisted (cache entries, journals, intent
+# records) is in the one sealed format: it starts with the AUTOMCb1 magic.
+for f in "$res_dir"/*; do
+    if [ -f "$f" ] && [ "$(head -c 8 "$f")" != "AUTOMCb1" ]; then
+        echo "kill/resume smoke: $f does not start with the AUTOMCb1 magic"
+        exit 1
+    fi
+done
 AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$res_dir" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --seed 7 >/tmp/automc-resume-res.out 2>/tmp/automc-resume-res.err

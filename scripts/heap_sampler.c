@@ -4,9 +4,12 @@
  * least 4 KiB with the frame-pointer stack that allocated it. Each time
  * the tracked total passes its previous high by 8 MiB it snapshots the
  * live bytes and blocks per allocating stack; at exit it writes
- * /proc/self/maps, the process's peak resident set (VmHWM, from
- * /proc/self/status) and the last snapshot (the tracked peak, to within
- * 8 MiB) to $PROFILE_SAMPLE_DIR/<pid>.heap.
+ * /proc/self/maps, the process's peak resident set and the last snapshot
+ * (the tracked peak, to within 8 MiB) to $PROFILE_SAMPLE_DIR/<pid>.heap.
+ * The peak resident set is VmHWM (from /proc/self/status) minus the
+ * sampler's own tables: every page of them is touched when they are
+ * mapped, before the program allocates, so they stay resident and that
+ * difference is exactly the program's own peak.
  * Inactive (a plain pass-through) unless the executable path starts with
  * $PROFILE_EXE_PREFIX, so the compilers and scripts a profiled command
  * spawns are not tracked.
@@ -52,12 +55,19 @@ static uint32_t *order, nstacks, nblocks; /* stacks in first-seen order */
 static struct row *snap;
 static uint32_t snap_rows;
 static size_t total, snap_total, dropped;
+static size_t mapped; /* resident bytes of the tables above */
 static char exe[4096];
 
+/* Map a zeroed table and touch every page of it, so all of it is
+ * resident from here on and counted once in `mapped`. */
 static void *map(size_t bytes) {
-    void *p = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    return p == MAP_FAILED ? NULL : p;
+    size_t page = (size_t)sysconf(_SC_PAGESIZE);
+    bytes = (bytes + page - 1) / page * page;
+    char *p = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) return NULL;
+    for (size_t i = 0; i < bytes; i += page) ((volatile char *)p)[i] = 0;
+    mapped += bytes;
+    return p;
 }
 
 static uint64_t mix(uint64_t h, uint64_t v) {
@@ -234,7 +244,8 @@ __attribute__((constructor)) static void start(void) {
     active = blocks && stacks && order && snap;
 }
 
-/* The process's peak resident set (VmHWM) in bytes; 0 if unreadable. */
+/* The program's peak resident set in bytes: VmHWM less the sampler's
+ * tables; 0 if unreadable. */
 static size_t rss_peak(void) {
     FILE *status = fopen("/proc/self/status", "r");
     char line[256];
@@ -243,7 +254,7 @@ static size_t rss_peak(void) {
     while (fgets(line, sizeof line, status))
         if (sscanf(line, "VmHWM: %zu kB", &kib) == 1) break;
     fclose(status);
-    return kib << 10;
+    return (kib << 10) > mapped ? (kib << 10) - mapped : 0;
 }
 
 __attribute__((destructor)) static void stop(void) {

@@ -22,13 +22,12 @@
 # stack that allocated it and keeps a snapshot of live bytes per stack
 # each time the tracked total passes its previous high by 8 MiB. The
 # script then lists each sampled process's tracked peak beside its peak
-# resident set (VmHWM; the gap is memory outside tracked blocks: small
-# blocks, allocator slack, code, stacks, and the sampler's own tables: a
-# served_search daemon peaks 15-20 MB higher under the sampler than
-# unprofiled) and, for the (up to) three largest, the live bytes and
-# blocks at that peak by allocation site (the innermost workspace frame
-# outside the allocator) and inclusive of every frame. PROFILE_FOCUS
-# filters stacks the same way.
+# resident set (VmHWM less the sampler's own tables, which it keeps
+# resident from the start; the gap is memory outside tracked blocks:
+# small blocks, allocator slack, code and stacks) and, for the (up to)
+# three largest, the live bytes and blocks at that peak by allocation
+# site (the innermost workspace frame outside the allocator) and
+# inclusive of every frame. PROFILE_FOCUS filters stacks the same way.
 set -euo pipefail
 [ $# -gt 0 ] || { echo "usage: scripts/profile.sh CMD [ARGS...]" >&2; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
