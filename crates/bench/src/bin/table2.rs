@@ -103,8 +103,7 @@ fn run_smoke(args: &BenchArgs, runner: Option<&mut DistRunner>) {
 
     // Report how the supervision layer handled faulted evaluations. A
     // distributed run streams the counters back with the unit payloads;
-    // otherwise scan the search histories, looking across every worker
-    // sub-store since each history lives in its owning worker's cache.
+    // otherwise scan the search histories in the run's store.
     let fp = run_fingerprint(&exp, seed);
     let counts: Option<(usize, usize)> =
         cache::load(&orchestrator::table2_counts_key(exp.name, seed), &fp);
@@ -113,7 +112,7 @@ fn run_smoke(args: &BenchArgs, runner: Option<&mut DistRunner>) {
         let mut infeasible = 0usize;
         for algo in ["automc", "evolution", "rl", "random"] {
             let key = format!("{}_s{seed}_{algo}", exp.name);
-            if let Some(h) = orchestrator::load_result_any::<SearchHistory>(&key, &fp) {
+            if let Some(h) = cache::load::<SearchHistory>(&key, &fp) {
                 evals += h.records.len();
                 infeasible += h.failed_count();
             }

@@ -40,7 +40,8 @@ static STORE_DISABLED: AtomicBool = AtomicBool::new(false);
 /// way without forcing a rebuild via `CARGO_TARGET_DIR`); otherwise it is
 /// anchored to the workspace `target/` directory via the crate manifest,
 /// so binaries, tests, and benches agree on the location regardless of
-/// their working directory.
+/// their working directory. A distributed run's local workers inherit the
+/// supervisor's directory, so a run is one store.
 pub fn cache_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("AUTOMC_RESULTS_DIR") {
         if !dir.is_empty() {
@@ -69,20 +70,21 @@ fn quarantine_entry(path: &Path, key: &str, why: &str) {
     }
 }
 
-/// Decode the entry at `path` if it was stored under `fingerprint`.
-/// Missing, foreign and mismatched entries are misses; corrupt ones are
-/// quarantined too.
-fn load_at<T: FromJson>(path: &Path, key: &str, fingerprint: &str) -> Option<T> {
-    let payload = match read_sealed(path) {
+/// Load a cached value if present, intact, and recorded under the same
+/// fingerprint; anything else is a miss. Missing, foreign and mismatched
+/// entries are plain misses; corrupt ones are quarantined too.
+pub fn load<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
+    let path = cache_path(key);
+    let payload = match read_sealed(&path) {
         Ok(payload) => payload,
         Err(Absent::Corrupt) => {
-            quarantine_entry(path, key, "checksum mismatch (corrupt entry)");
+            quarantine_entry(&path, key, "checksum mismatch (corrupt entry)");
             return None;
         }
         Err(_) => return None,
     };
     let Ok(entry) = automc_json::parse_utf8(&payload) else {
-        quarantine_entry(path, key, "corrupt payload");
+        quarantine_entry(&path, key, "corrupt payload");
         return None;
     };
     let fp: String = field(&entry, "fingerprint")?;
@@ -91,20 +93,6 @@ fn load_at<T: FromJson>(path: &Path, key: &str, fingerprint: &str) -> Option<T> 
         return None;
     }
     T::from_json(entry.get("value")?)
-}
-
-/// Load a cached value if present, intact, and recorded under the same
-/// fingerprint; anything else is a miss.
-pub fn load<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
-    load_at(&cache_path(key), key, fingerprint)
-}
-
-/// [`load`] from an explicit store directory instead of [`cache_dir`].
-/// The multi-process orchestrator reads worker results this way: each
-/// worker persists into its own isolated sub-store, and the supervisor
-/// merges them without re-pointing its `AUTOMC_RESULTS_DIR`.
-pub fn load_from<T: FromJson>(dir: &Path, key: &str, fingerprint: &str) -> Option<T> {
-    load_at(&dir.join(format!("{key}.json")), key, fingerprint)
 }
 
 /// Store a value under a fingerprint. The write is atomic, retried with

@@ -539,42 +539,6 @@ impl FromJson for CorpusDto {
     }
 }
 
-/// `cache::load_or` with a read-only fallback store for *global*
-/// artifacts — the experience corpus and the embeddings are seed-keyed
-/// and task-independent, so a sharded worker can reuse the copy its
-/// supervisor already computed instead of re-deriving it (the dominant
-/// fixed cost of a run). `AUTOMC_SHARED_RESULTS_DIR` names the fallback
-/// store (the supervisor's own result dir; never written by workers); a
-/// fallback hit is copied into the primary store so later lookups are
-/// local.
-pub fn load_or_shared<T: ToJson + FromJson>(
-    key: &str,
-    fingerprint: &str,
-    fresh: bool,
-    compute: impl FnOnce() -> T,
-) -> T {
-    if !fresh {
-        if let Some(v) = cache::load(key, fingerprint) {
-            eprintln!("[cache] reusing {key}");
-            return v;
-        }
-        if let Ok(dir) = std::env::var("AUTOMC_SHARED_RESULTS_DIR") {
-            if !dir.is_empty() {
-                if let Some(v) =
-                    cache::load_from(std::path::Path::new(&dir), key, fingerprint)
-                {
-                    eprintln!("[cache] reusing {key} from shared store");
-                    cache::store(key, fingerprint, &v);
-                    return v;
-                }
-            }
-        }
-    }
-    let v = compute();
-    cache::store(key, fingerprint, &v);
-    v
-}
-
 /// Generate (or load) the experience corpus for a strategy space.
 pub fn experience_corpus(
     space: &StrategySpace,
@@ -583,7 +547,7 @@ pub fn experience_corpus(
     fresh: bool,
 ) -> ExperienceCorpus {
     let key = format!("corpus_{space_tag}_s{seed}");
-    let dto = load_or_shared(&key, &corpus_fingerprint(seed), fresh, || {
+    let dto = cache::load_or(&key, &corpus_fingerprint(seed), fresh, || {
         eprintln!("[harness] generating experience corpus ({space_tag})…");
         // Each micro-task pre-trains from its own stream under `seed ^ 0xE0`
         // and the records draw theirs under `seed ^ 0xE2` (the embeddings
@@ -632,7 +596,7 @@ pub fn automc_embeddings(
         "emb_{space_tag}_s{seed}_kg{}_exp{}",
         use_kg as u8, use_experience as u8
     );
-    load_or_shared(&key, &embedding_fingerprint(seed), fresh, || {
+    cache::load_or(&key, &embedding_fingerprint(seed), fresh, || {
         let corpus = experience_corpus(space, space_tag, seed, fresh);
         eprintln!("[harness] learning embeddings ({key})…");
         let mut rng = rng_from_seed(seed ^ 0xE1);
@@ -1109,7 +1073,7 @@ pub fn table2_rows_with(
 //
 // The distributed execution layer (`transport::DistRunner`) ships work as
 // *task units*: `(experiment, scale, seed, unit index, params)` tuples
-// that any worker can execute from nothing but its own caches. Every
+// that any worker can execute from nothing but its results store. Every
 // binary's loop body is factored into a unit here so `--workers N` and
 // `--connect host:port` work for all of them:
 //
@@ -1155,8 +1119,9 @@ impl UnitCtx {
 }
 
 /// Cache key under which a unit's payload is journaled — by the worker in
-/// its own store (cheap re-delivery after a reconnect) and by the
-/// supervisor in the merge journal (lossless replay after a restart).
+/// its results store (cheap re-delivery after a reconnect) and by the
+/// supervisor in the merge journal (lossless replay after a restart). A
+/// local worker's store is the supervisor's, so both write one file.
 pub fn unit_key(experiment: &str, scale_name: &str, seed: u64, unit: usize) -> String {
     format!("unit_{experiment}_{scale_name}_s{seed}_u{unit}")
 }
@@ -1331,7 +1296,7 @@ pub fn unit_count(experiment: &str, scale: &ExperimentScale) -> Option<usize> {
 
 /// Execute one task unit and return its payload. Pure in the distributed
 /// sense: everything a unit needs arrives in the arguments (plus the
-/// worker's own caches), and the payload JSON carries everything the
+/// worker's results store), and the payload JSON carries everything the
 /// supervisor's merge needs. Errors are returned, never panicked — the
 /// transport forwards them as `result`-frame errors and the supervisor
 /// retries or degrades.

@@ -103,19 +103,12 @@ impl BenchArgs {
             // Spill evicted/inserted prefix models next to the result
             // cache so a relaunched process re-hits prefixes computed by
             // an earlier run. The directory is opened as a crash-safe
-            // concurrent `automc_compress::store::BlobStore`, so many
-            // processes may share it live — `AUTOMC_MEMO_SPILL_DIR`
-            // re-points it: the orchestrator isolates each worker's
-            // result cache but shares one spill store across the fleet
+            // concurrent `automc_compress::store::BlobStore`, so every
+            // process of a run — a worker fleet included — shares it live
             // (prefix models are content-addressed, so sharing is always
             // sound, and the store's GC/quarantine keep it bounded and
             // self-healing).
-            let spill = std::env::var("AUTOMC_MEMO_SPILL_DIR")
-                .ok()
-                .filter(|d| !d.is_empty())
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| cache::cache_dir().join("memo"));
-            automc_compress::memo::set_spill_dir(Some(spill));
+            automc_compress::memo::set_spill_dir(Some(cache::cache_dir().join("memo")));
         }
         if let Some(spec) = &self.faults {
             match automc_tensor::fault::FaultPlan::parse(spec) {

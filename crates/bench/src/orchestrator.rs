@@ -13,7 +13,7 @@
 //!
 //! * **crash** — a local worker that exits non-zero is restarted with
 //!   exponential backoff; the restart resumes for free (completed units
-//!   are cached in the worker's store, in-progress searches resume from
+//!   are cached in the run's store, in-progress searches resume from
 //!   their journals);
 //! * **hang** — a connection with no frame (beat, pull, or result)
 //!   within the deadline (8 × the heartbeat interval, floor 1.5 s) is
@@ -38,7 +38,7 @@ use crate::transport::DistRunner;
 use crate::BenchArgs;
 use automc_compress::store::{read_sealed, write_sealed};
 use automc_compress::{MethodId, StrategySpace};
-use automc_json::{field, obj, FromJson, ToJson, Value};
+use automc_json::{field, obj, ToJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Exit code of a worker whose injected `kill@worker` directive fired, so
@@ -51,12 +51,6 @@ pub const WORKER_KILL_EXIT: i32 = 86;
 /// flag would parse but change nothing. `parse_args` clamps to this with
 /// a warning instead of accepting a silently meaningless value.
 pub const MIN_HEARTBEAT_MS: u64 = 188;
-
-/// The isolated result sub-store of local worker `idx` under the
-/// supervisor's results root.
-pub fn worker_dir(root: &Path, idx: usize) -> PathBuf {
-    root.join(format!("worker{idx}"))
-}
 
 /// The scale names [`resolve_scale`] accepts, in error-message order.
 pub fn known_scales() -> &'static [&'static str] {
@@ -192,9 +186,9 @@ pub fn table2_rows_dist(
         }
     }
     // Compute the global artifacts (experience corpus + embeddings) once,
-    // in the supervisor's own store, before any unit is handed out: every
-    // worker that pulls a search unit fetches them through the
-    // shared-store fallback instead of re-deriving them per process.
+    // in the run's store, before any unit is handed out: every local
+    // worker that pulls a search unit reads them there instead of
+    // re-deriving them per process.
     let _ = harness::automc_embeddings(
         &StrategySpace::full(),
         "full",
@@ -244,11 +238,11 @@ pub fn table2_rows_dist(
 }
 
 /// Distributed counterpart of running [`harness::run_search`] for the
-/// algorithms in `algos` (indices into [`harness::Algo::ALL`]): already
-/// cached histories — in the supervisor's store or any worker sub-store —
-/// are reused, the rest are enqueued as `search` task units. Returned
-/// histories are also persisted under the serial cache key in the
-/// supervisor's store, so every downstream serial-path reuse (figure
+/// algorithms in `algos` (indices into [`harness::Algo::ALL`]): histories
+/// already cached in the run's store are reused, the rest are enqueued as
+/// `search` task units. Fetched histories are persisted under the serial
+/// cache key in the supervisor's store — a remote worker's store is not
+/// the supervisor's — so every downstream serial-path reuse (figure
 /// overlays, table3 scheme extraction, smoke count scans) is a local hit.
 pub fn fetch_searches(
     runner: &mut DistRunner,
@@ -265,9 +259,7 @@ pub fn fetch_searches(
     let mut need: Vec<usize> = Vec::new();
     for (i, &u) in algos.iter().enumerate() {
         if !fresh {
-            if let Some(h) = load_result_any::<automc_core::SearchHistory>(&serial_key(u), &fp)
-            {
-                cache::store(&serial_key(u), &fp, &h);
+            if let Some(h) = cache::load(&serial_key(u), &fp) {
                 out[i] = Some(h);
                 continue;
             }
@@ -275,9 +267,9 @@ pub fn fetch_searches(
         need.push(u);
     }
     if !need.is_empty() {
-        // Workers that pull a search unit fetch the experience corpus and
-        // embeddings through the shared-store fallback — compute them
-        // once, here, in the supervisor's store.
+        // Local workers that pull a search unit read the experience
+        // corpus and embeddings from the run's store — compute them once,
+        // here.
         let _ = harness::automc_embeddings(
             &StrategySpace::full(),
             "full",
@@ -299,27 +291,6 @@ pub fn fetch_searches(
         }
     }
     out
-}
-
-/// Load a cached value from the supervisor's own store or, failing that,
-/// from any worker sub-store under it — the distributed counterpart of
-/// [`cache::load`] for artifacts (like search histories) that live where
-/// the owning worker ran.
-pub fn load_result_any<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
-    if let Some(v) = cache::load(key, fingerprint) {
-        return Some(v);
-    }
-    let root = cache::cache_dir();
-    for idx in 0..table2_task_count() {
-        let dir = worker_dir(&root, idx);
-        if !dir.exists() {
-            break;
-        }
-        if let Some(v) = cache::load_from(&dir, key, fingerprint) {
-            return Some(v);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -254,7 +254,8 @@ enum ConnEnd {
 ///
 /// A lost connection is retried with exponential backoff (the supervisor
 /// re-enqueues whatever this worker held, so reconnecting is always
-/// safe); completed units are cached in this process's own store, so a
+/// safe); completed units are cached in this process's results store
+/// (`AUTOMC_RESULTS_DIR`, the supervisor's own for a local worker), so a
 /// re-delivered unit is a cache hit, not a recompute.
 pub fn run_worker_connect(args: &BenchArgs, addr: &str) -> i32 {
     STARTED_BY.get_or_init(parent_pid);
@@ -1024,12 +1025,13 @@ impl DistRunner {
         if let Some(memo) = args.memo {
             cmd.arg("--memo").arg(if memo { "on" } else { "off" });
         }
-        cmd.env("AUTOMC_RESULTS_DIR", orchestrator::worker_dir(&root, idx))
-            .env("AUTOMC_SHARED_RESULTS_DIR", &root)
-            .env("AUTOMC_MEMO_SPILL_DIR", root.join("memo"))
-            // Fault plans are the supervisor's to interpret: worker-site
-            // faults become directives; eval-site plans must not replicate
-            // into every child (their ordinals are per-process).
+        // A local worker reads and writes the run's own store: a unit is a
+        // deterministic function of (seed, scale, unit), so two processes
+        // storing one key store the same bytes, each by its own atomic
+        // rename. Fault plans are the supervisor's to interpret:
+        // worker-site faults become directives; eval-site plans must not
+        // replicate into every child (their ordinals are per-process).
+        cmd.env("AUTOMC_RESULTS_DIR", &root)
             .env_remove("AUTOMC_FAULTS");
         match fault::tick("worker") {
             Some(FaultKind::Kill) => {

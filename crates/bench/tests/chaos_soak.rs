@@ -51,21 +51,13 @@ fn text(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
 }
 
-fn base_cmd(results: &Path, shared: Option<&Path>) -> Command {
+fn base_cmd(results: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table2"));
     cmd.arg("--smoke").arg("--seed").arg("11");
     for (k, v) in KNOBS {
         cmd.env(k, v);
     }
     cmd.env("AUTOMC_RESULTS_DIR", results).env("AUTOMC_THREADS", "1");
-    match shared {
-        Some(dir) => {
-            cmd.env("AUTOMC_SHARED_RESULTS_DIR", dir);
-        }
-        None => {
-            cmd.env_remove("AUTOMC_SHARED_RESULTS_DIR");
-        }
-    }
     for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT"] {
         cmd.env_remove(k);
     }
@@ -97,13 +89,13 @@ fn tail(s: &str) -> String {
 }
 
 /// The fault-free serial reference: computed once per test process, its
-/// results directory doubles as the shared store every soaked run pulls
-/// the one-time corpus/embedding artifacts through.
+/// results directory holds the one-time corpus/embedding artifacts that
+/// [`warm_dir`] copies into every soaked run's directory.
 fn reference() -> &'static (PathBuf, String) {
     static REF: OnceLock<(PathBuf, String)> = OnceLock::new();
     REF.get_or_init(|| {
         let dir = fresh_dir("reference");
-        let child = base_cmd(&dir, None)
+        let child = base_cmd(&dir)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -116,6 +108,17 @@ fn reference() -> &'static (PathBuf, String) {
         );
         (dir, text(&out.stdout))
     })
+}
+
+/// A fresh results directory holding a copy of the reference run's
+/// experience corpus and embeddings, so a soaked run starts warm.
+fn warm_dir(name: &str) -> PathBuf {
+    let (ref_dir, _) = reference();
+    let dir = fresh_dir(name);
+    for entry in ["corpus_full_s11.json", "emb_full_s11_kg1_exp1.json"] {
+        std::fs::copy(ref_dir.join(entry), dir.join(entry)).expect("copy a knowledge entry");
+    }
+    dir
 }
 
 /// Byte-identical, or degraded only by `unavailable`-labelled lines.
@@ -178,8 +181,7 @@ fn soak(
 /// reproduce the reference bytes exactly (no lingering corruption, no
 /// stale journals, no poisoned blob store).
 fn assert_clean_reopen(seed: u64, results: &Path, reference: &str) {
-    let (ref_dir, _) = self::reference();
-    let child = base_cmd(results, Some(ref_dir))
+    let child = base_cmd(results)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -209,14 +211,14 @@ fn run_attempt(cmd: &mut Command, end: Instant, what: &str) -> (Option<i32>, Str
 
 #[test]
 fn chaos_soak_serial() {
-    let (ref_dir, ref_out) = reference();
+    let (_, ref_out) = reference();
     // Seed 3: torn spill write, cache corruption, spill eviction.
     // Seed 4: eval exit (kills the process mid-search), eviction, torn.
     for seed in [3u64, 4] {
-        let dir = fresh_dir(&format!("serial-{seed}"));
+        let dir = warm_dir(&format!("serial-{seed}"));
         let out = soak(seed, |attempt, end| {
             run_attempt(
-                base_cmd(&dir, Some(ref_dir)).env("AUTOMC_FAULTS", format!("chaos@{seed}:3")),
+                base_cmd(&dir).env("AUTOMC_FAULTS", format!("chaos@{seed}:3")),
                 end,
                 &format!("serial chaos@{seed}:3 attempt {attempt}"),
             )
@@ -228,14 +230,14 @@ fn chaos_soak_serial() {
 
 #[test]
 fn chaos_soak_local_workers() {
-    let (ref_dir, ref_out) = reference();
+    let (_, ref_out) = reference();
     // Seed 2: net drop, worker kill, supervisor exit mid-merge.
     // Seed 16: worker kill, worker hang, supervisor exit at merge 1.
     for seed in [2u64, 16] {
-        let dir = fresh_dir(&format!("workers-{seed}"));
+        let dir = warm_dir(&format!("workers-{seed}"));
         let out = soak(seed, |attempt, end| {
             run_attempt(
-                base_cmd(&dir, Some(ref_dir))
+                base_cmd(&dir)
                     .args(["--workers", "2"])
                     .env("AUTOMC_FAULTS", format!("chaos@{seed}:3")),
                 end,
@@ -262,17 +264,17 @@ fn wait_addr(addr_file: &Path, end: Instant) -> String {
 
 #[test]
 fn chaos_soak_remote_workers() {
-    let (ref_dir, ref_out) = reference();
+    let (_, ref_out) = reference();
     // Seed 29: eval exit + two net drops. Seed 37: two supervisor exits
     // mid-merge (ordinals 1 and 6) — the hardest resume case: the `dist`
     // fault counter must survive both restarts or the schedule loops.
     for seed in [29u64, 37] {
         let dir = fresh_dir(&format!("remote-{seed}"));
-        let sup_dir = dir.join("sup");
+        let sup_dir = warm_dir(&format!("remote-{seed}-sup"));
         let out = soak(seed, |attempt, end| {
             let addr_file = dir.join("addr");
             let _ = std::fs::remove_file(&addr_file);
-            let sup = base_cmd(&sup_dir, Some(ref_dir))
+            let sup = base_cmd(&sup_dir)
                 .args(["--listen", "127.0.0.1:0", "--addr-file"])
                 .arg(&addr_file)
                 .env("AUTOMC_FAULTS", format!("chaos@{seed}:3"))
@@ -283,11 +285,11 @@ fn chaos_soak_remote_workers() {
             let addr = wait_addr(&addr_file, end);
             // Remote workers never see the fault plan (the supervisor owns
             // it); each restart gets fresh workers against the new port.
+            // They share the supervisor's results directory.
             let mut workers: Vec<Child> = (0..2)
-                .map(|w| {
-                    base_cmd(&dir.join(format!("w{w}")), Some(ref_dir))
+                .map(|_| {
+                    base_cmd(&sup_dir)
                         .args(["--connect", &addr])
-                        .env("AUTOMC_MEMO_SPILL_DIR", sup_dir.join("memo"))
                         .stdout(Stdio::null())
                         .stderr(Stdio::null())
                         .spawn()

@@ -8,7 +8,9 @@
 //! Every scenario shells out to the real `table2` / `table3` binaries at
 //! the shrunk smoke scale (`AUTOMC_SMOKE_*` knobs). The serial reference
 //! runs pay the one-time corpus/embedding cost; every distributed run
-//! pulls those global artifacts through the shared-store fallback.
+//! starts from a copy of those two knowledge entries. Remote workers
+//! share the supervisor's results directory, as on one host or a shared
+//! mount, except in the table3 scenario, where each has its own.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -22,26 +24,28 @@ const KNOBS: [(&str, &str); 4] = [
     ("AUTOMC_SMOKE_BUDGET", "150"),
 ];
 
-fn base_cmd(bin: &str, results: &Path, shared: Option<&Path>) -> Command {
+fn base_cmd(bin: &str, results: &Path) -> Command {
     let mut cmd = Command::new(bin);
     cmd.arg("--smoke").arg("--seed").arg("11");
     for (k, v) in KNOBS {
         cmd.env(k, v);
     }
     cmd.env("AUTOMC_RESULTS_DIR", results);
-    match shared {
-        Some(dir) => {
-            cmd.env("AUTOMC_SHARED_RESULTS_DIR", dir);
-        }
-        None => {
-            cmd.env_remove("AUTOMC_SHARED_RESULTS_DIR");
-        }
-    }
     // Stray state from the invoking environment must not leak in.
     for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT"] {
         cmd.env_remove(k);
     }
     cmd
+}
+
+/// Copy the experience corpus and embeddings of the serial run in
+/// `from` into `results`, so a run there starts warm instead of
+/// re-deriving them.
+fn copy_knowledge(from: &Path, results: &Path) {
+    std::fs::create_dir_all(results).expect("results dir");
+    for name in ["corpus_full_s11.json", "emb_full_s11_kg1_exp1.json"] {
+        std::fs::copy(from.join(name), results.join(name)).expect("copy a knowledge entry");
+    }
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -69,20 +73,32 @@ fn wait_addr(addr_file: &Path) -> String {
     }
 }
 
+/// Where the remote workers of [`run_remote`] keep their results.
+#[derive(Clone, Copy)]
+enum Stores {
+    /// The supervisor's directory: workers on its host or a shared mount.
+    Shared,
+    /// One directory per worker, each warmed like the supervisor's.
+    Own,
+}
+
 /// Run one listen-only supervisor plus `worker_faults.len()` remote
 /// workers (each entry an optional `AUTOMC_WORKER_FAULT` directive for
-/// that worker). Returns the supervisor's output; worker processes are
-/// killed and reaped before returning (an injected kill/hang makes a
-/// worker's own exit deliberately abnormal).
+/// that worker), every store warmed from the serial run's store `warm`.
+/// Returns the supervisor's output; worker processes are killed and
+/// reaped before returning (an injected kill/hang makes a worker's own
+/// exit deliberately abnormal).
 fn run_remote(
     bin: &str,
     dir: &Path,
-    shared: &Path,
+    warm: &Path,
+    stores: Stores,
     worker_faults: &[Option<&str>],
     sup_args: &[&str],
 ) -> Output {
     let addr_file = dir.join("task-server.addr");
-    let sup = base_cmd(bin, &dir.join("sup"), Some(shared))
+    copy_knowledge(warm, &dir.join("sup"));
+    let sup = base_cmd(bin, &dir.join("sup"))
         .args(["--listen", "127.0.0.1:0", "--addr-file"])
         .arg(&addr_file)
         .args(sup_args)
@@ -96,7 +112,15 @@ fn run_remote(
         .iter()
         .enumerate()
         .map(|(i, fault)| {
-            let mut cmd = base_cmd(bin, &dir.join(format!("w{i}")), Some(shared));
+            let results = match stores {
+                Stores::Shared => dir.join("sup"),
+                Stores::Own => {
+                    let own = dir.join(format!("w{i}"));
+                    copy_knowledge(warm, &own);
+                    own
+                }
+            };
+            let mut cmd = base_cmd(bin, &results);
             cmd.args(["--connect", &addr])
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
@@ -123,14 +147,14 @@ fn remote_workers_merge_byte_identically_under_faults() {
 
     // --- Uninterrupted single-process reference -------------------------
     let serial_dir = fresh_dir("serial");
-    let serial = base_cmd(t2, &serial_dir, None).output().expect("serial run");
+    let serial = base_cmd(t2, &serial_dir).output().expect("serial run");
     let serial_out = text(&serial.stdout);
     assert!(serial.status.success(), "serial run failed:\n{}", text(&serial.stderr));
     assert!(serial_out.contains("SMOKE OK"), "{serial_out}");
 
     // --- 1 remote worker, clean -----------------------------------------
     let d = fresh_dir("w1");
-    let run = run_remote(t2, &d, &serial_dir, &[None], &[]);
+    let run = run_remote(t2, &d, &serial_dir, Stores::Shared, &[None], &[]);
     assert!(run.status.success(), "1-worker run failed:\n{}", text(&run.stderr));
     assert_eq!(text(&run.stdout), serial_out, "1 remote worker must merge byte-identically");
 
@@ -138,7 +162,7 @@ fn remote_workers_merge_byte_identically_under_faults() {
     // The killed worker's in-flight unit is re-enqueued and its sibling
     // absorbs the rest of the queue.
     let d = fresh_dir("w2-kill");
-    let run = run_remote(t2, &d, &serial_dir, &[Some("kill"), None], &[]);
+    let run = run_remote(t2, &d, &serial_dir, Stores::Shared, &[Some("kill"), None], &[]);
     let err = text(&run.stderr);
     assert!(run.status.success(), "2-worker kill run failed:\n{err}");
     assert_eq!(
@@ -156,6 +180,7 @@ fn remote_workers_merge_byte_identically_under_faults() {
         t2,
         &d,
         &serial_dir,
+        Stores::Shared,
         &[None, Some("hang"), None, None],
         &["--heartbeat-ms", "188"],
     );
@@ -170,9 +195,18 @@ fn remote_workers_merge_byte_identically_under_faults() {
 
     // --- 2 remote workers, injected connection drop ---------------------
     // The task frame is written, then the connection is severed: the unit
-    // is immediately re-enqueued; the dropped worker reconnects.
+    // is immediately re-enqueued; the dropped worker reconnects. Both
+    // workers share the supervisor's directory, so the re-delivered unit
+    // may be stored there by two processes at once.
     let d = fresh_dir("w2-drop");
-    let run = run_remote(t2, &d, &serial_dir, &[None, None], &["--faults", "drop@net:2"]);
+    let run = run_remote(
+        t2,
+        &d,
+        &serial_dir,
+        Stores::Shared,
+        &[None, None],
+        &["--faults", "drop@net:2"],
+    );
     let err = text(&run.stderr);
     assert!(run.status.success(), "2-worker drop run failed:\n{err}");
     assert_eq!(
@@ -194,16 +228,17 @@ fn table3_remote_workers_match_serial_and_supervisor_restart_replays() {
 
     // --- table3 serial reference ----------------------------------------
     let serial_dir = fresh_dir("t3-serial");
-    let serial = base_cmd(t3, &serial_dir, None).output().expect("serial table3");
+    let serial = base_cmd(t3, &serial_dir).output().expect("serial table3");
     let serial_out = text(&serial.stdout);
     assert!(serial.status.success(), "serial table3 failed:\n{}", text(&serial.stderr));
     assert!(serial_out.contains("SMOKE OK"), "{serial_out}");
 
     // --- table3, 2 remote workers ---------------------------------------
     // Searches and transfer targets both travel the task queue (the
-    // searched schemes ride inside the table3 task params).
+    // searched schemes ride inside the table3 task params). Each worker
+    // has a directory of its own, as on another host.
     let d = fresh_dir("t3-w2");
-    let run = run_remote(t3, &d, &serial_dir, &[None, None], &[]);
+    let run = run_remote(t3, &d, &serial_dir, Stores::Own, &[None, None], &[]);
     assert!(run.status.success(), "table3 remote run failed:\n{}", text(&run.stderr));
     assert_eq!(
         text(&run.stdout),
@@ -217,12 +252,13 @@ fn table3_remote_workers_match_serial_and_supervisor_restart_replays() {
     // store, so the restart replays them and finishes byte-identically
     // to an uninterrupted table2 run.
     let t2_serial_dir = fresh_dir("t2-serial");
-    let t2_serial = base_cmd(t2, &t2_serial_dir, None).output().expect("serial table2");
+    let t2_serial = base_cmd(t2, &t2_serial_dir).output().expect("serial table2");
     let t2_serial_out = text(&t2_serial.stdout);
     assert!(t2_serial.status.success(), "{}", text(&t2_serial.stderr));
 
     let d = fresh_dir("restart");
-    let first = base_cmd(t2, &d, Some(&t2_serial_dir))
+    copy_knowledge(&t2_serial_dir, &d);
+    let first = base_cmd(t2, &d)
         .args(["--workers", "2", "--faults", "exit@dist:3"])
         .output()
         .expect("first supervisor run");
@@ -232,7 +268,7 @@ fn table3_remote_workers_match_serial_and_supervisor_restart_replays() {
         "the injected supervisor exit must fire:\n{}",
         text(&first.stderr)
     );
-    let second = base_cmd(t2, &d, Some(&t2_serial_dir))
+    let second = base_cmd(t2, &d)
         .args(["--workers", "2"])
         .output()
         .expect("second supervisor run");

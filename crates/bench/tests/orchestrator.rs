@@ -7,8 +7,9 @@
 //! Every scenario shells out to the real `table2` binary
 //! (`CARGO_BIN_EXE_table2`) at a drastically shrunk smoke scale
 //! (`AUTOMC_SMOKE_*` knobs). The serial reference run pays the one-time
-//! corpus/embedding cost; the sharded scenarios pull those global
-//! artifacts through the shared-store fallback, so each runs in seconds.
+//! corpus/embedding cost; each sharded scenario starts from a copy of
+//! those two knowledge entries in its own results directory, which the
+//! supervisor and its workers share, so each runs in seconds.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -22,21 +23,28 @@ const KNOBS: [(&str, &str); 4] = [
     ("AUTOMC_SMOKE_BUDGET", "150"),
 ];
 
-fn table2(results: &Path, shared: Option<&Path>, args: &[&str]) -> Output {
+/// Copy the experience corpus and embeddings of the serial run in
+/// `from` into `results`, so a run there starts warm instead of
+/// re-deriving them.
+fn copy_knowledge(from: &Path, results: &Path) {
+    std::fs::create_dir_all(results).expect("results dir");
+    for name in ["corpus_full_s42.json", "emb_full_s42_kg1_exp1.json"] {
+        std::fs::copy(from.join(name), results.join(name)).expect("copy a knowledge entry");
+    }
+}
+
+/// Run `table2 --smoke` in `results`, first warmed from the serial run's
+/// store `warm` when given.
+fn table2(results: &Path, warm: Option<&Path>, args: &[&str]) -> Output {
+    if let Some(from) = warm {
+        copy_knowledge(from, results);
+    }
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table2"));
     cmd.arg("--smoke").args(args);
     for (k, v) in KNOBS {
         cmd.env(k, v);
     }
     cmd.env("AUTOMC_RESULTS_DIR", results);
-    match shared {
-        Some(dir) => {
-            cmd.env("AUTOMC_SHARED_RESULTS_DIR", dir);
-        }
-        None => {
-            cmd.env_remove("AUTOMC_SHARED_RESULTS_DIR");
-        }
-    }
     // Stray state from the invoking environment must not leak in.
     for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT"] {
         cmd.env_remove(k);
@@ -66,8 +74,8 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
 
     // --- Worker crash + restart, 1 worker -------------------------------
     // The only worker is killed (exit 86) after its first completed task;
-    // the supervisor restarts it and the restart resumes from the
-    // worker's own result store.
+    // the supervisor restarts it and the restart resumes from the run's
+    // result store.
     let d = fresh_dir("kill-w1");
     let run = table2(&d, Some(&serial_dir), &["--workers", "1", "--faults", "kill@worker:1"]);
     let err = text(&run.stderr);
@@ -95,6 +103,26 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
         "4-worker run under kill@worker must be byte-identical to serial"
     );
     assert!(err.contains("injected kill"), "fault must have fired:\n{err}");
+    // One results directory per run: the workers wrote into the
+    // supervisor's, and the embeddings entry was never copied.
+    let names: Vec<String> = std::fs::read_dir(&d)
+        .expect("results dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert!(
+        !names.iter().any(|n| n.starts_with("worker")),
+        "worker sub-store: {names:?}"
+    );
+    assert_eq!(
+        names.iter().filter(|n| n.starts_with("emb_")).count(),
+        1,
+        "{names:?}"
+    );
 
     // --- Hung worker: detected by heartbeat, killed, restarted ----------
     // The fault freezes the worker's heartbeat thread and parks it holding
@@ -137,12 +165,12 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
     // fails here instead of blocking the test on a pipe that never closes.
     let d = fresh_dir("orphan");
     let log = d.join("stderr.log");
+    copy_knowledge(&serial_dir, &d.join("results"));
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table2"));
     cmd.args(["--smoke", "--workers", "1", "--heartbeat-ms", "10000"])
         .args(["--faults", "hang@worker:1"])
         .envs(KNOBS)
         .env("AUTOMC_RESULTS_DIR", d.join("results"))
-        .env("AUTOMC_SHARED_RESULTS_DIR", &serial_dir)
         .env_remove("AUTOMC_FAULTS")
         .env_remove("AUTOMC_WORKER_FAULT")
         .stdout(std::process::Stdio::null())

@@ -34,7 +34,7 @@ fn worker_cmd(results: &PathBuf, addr: &str) -> Command {
         .env("AUTOMC_RESULTS_DIR", results)
         .env("AUTOMC_THREADS", "1")
         .stdin(Stdio::null());
-    for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT", "AUTOMC_SHARED_RESULTS_DIR"] {
+    for k in ["AUTOMC_FAULTS", "AUTOMC_WORKER_FAULT"] {
         cmd.env_remove(k);
     }
     cmd

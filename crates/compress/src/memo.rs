@@ -341,10 +341,10 @@ thread_local! {
     static THREAD_ENABLED: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
-/// Global on/off override (set by the bench `--memo` flag); `None` defers
-/// to the `AUTOMC_MEMO` environment variable (default: enabled).
-static GLOBAL_ENABLED: Mutex<Option<bool>> = Mutex::new(None);
-static GLOBAL_ENABLED_CACHE: AtomicU64 = AtomicU64::new(0); // 0 unset, 1 on, 2 off
+/// Global on/off override (set by the bench `--memo` flag): 0 defers to
+/// the `AUTOMC_MEMO` environment variable (default: enabled), 1 is on, 2
+/// is off.
+static GLOBAL_ENABLED: AtomicU64 = AtomicU64::new(0);
 
 fn byte_budget_cell() -> &'static AtomicU64 {
     static BUDGET: OnceLock<AtomicU64> = OnceLock::new();
@@ -358,7 +358,7 @@ pub fn enabled() -> bool {
     if let Some(v) = THREAD_ENABLED.with(|c| c.get()) {
         return v;
     }
-    match GLOBAL_ENABLED_CACHE.load(Ordering::Relaxed) {
+    match GLOBAL_ENABLED.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
         _ => {
@@ -377,10 +377,7 @@ pub fn set_enabled_for_thread(v: Option<bool>) {
 /// Process-wide enable/disable override (the bench `--memo` flag). The
 /// override is visible to all threads, including pool workers.
 pub fn set_enabled_global(v: Option<bool>) {
-    if let Ok(mut g) = GLOBAL_ENABLED.lock() {
-        *g = v;
-    }
-    GLOBAL_ENABLED_CACHE.store(
+    GLOBAL_ENABLED.store(
         match v {
             None => 0,
             Some(true) => 1,

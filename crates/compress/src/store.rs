@@ -22,7 +22,7 @@
 //! # Publish protocol (write-once)
 //!
 //! A blob is published under its 64-bit content key by writing a sealed
-//! envelope to a per-process temp file, fsyncing it, renaming it over
+//! envelope to a temp file of its own, fsyncing it, renaming it over
 //! `<key:016x>.bin`, and fsyncing the directory. Readers can observe the old state or the
 //! new blob, never a torn write. Keys are content addresses, so
 //! concurrent writers of one key are idempotent: whoever renames second
@@ -137,7 +137,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// machine) cannot make the rename itself vanish: without the directory
 /// fsync a resumed supervisor could observe a journal entry that a
 /// crashed worker "wrote" but whose directory update never reached disk.
+///
+/// The temp file is `<path>.tmp.<pid>.<n>`, `n` counted per process, so
+/// every call writes its own: two threads (or processes) writing one
+/// path never truncate each other's temp file, and the last rename wins.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TEMPS: AtomicU64 = AtomicU64::new(0);
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => {
             fs::create_dir_all(p)?;
@@ -146,7 +151,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         _ => None,
     };
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(&format!(".tmp.{}", std::process::id()));
+    let n = TEMPS.fetch_add(1, Ordering::Relaxed);
+    tmp.push(&format!(".tmp.{}.{n}", std::process::id()));
     let tmp = PathBuf::from(tmp);
     {
         let mut f = fs::File::create(&tmp)?;
@@ -1185,6 +1191,47 @@ mod tests {
         }
         // A directory where the file should be cannot be read.
         assert_eq!(read_sealed(&dir).err(), Some(Absent::Unreadable));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_fail_or_tear() {
+        // Two threads seal 256 KiB payloads to one path while a third
+        // reads it: every write must succeed on its first attempt, and
+        // every read must see one whole envelope or no file.
+        let dir = tmp("concurrent-writers");
+        let path = dir.join("entry.json");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        let (errors, corrupt) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2u8)
+                .map(|t| {
+                    let (path, start) = (&path, &start);
+                    s.spawn(move || {
+                        let payload = vec![t; 256 * 1024];
+                        start.wait();
+                        (0..200)
+                            .filter(|_| write_atomic(path, &seal(&[&payload])).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                start.wait();
+                let mut corrupt = 0;
+                while !done.load(Ordering::Relaxed) {
+                    if let Err(Absent::Corrupt | Absent::Foreign) = read_sealed(&path) {
+                        corrupt += 1;
+                    }
+                }
+                corrupt
+            });
+            let errors: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            done.store(true, Ordering::Relaxed);
+            (errors, reader.join().unwrap())
+        });
+        assert_eq!(errors, 0, "a write failed");
+        assert_eq!(corrupt, 0, "a reader saw a partial file");
         let _ = fs::remove_dir_all(&dir);
     }
 

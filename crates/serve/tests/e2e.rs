@@ -81,9 +81,7 @@ fn start_server(dir: &Path, tag: &str, knobs: &[(&str, &str)], faults: Option<&s
         .stdout(Stdio::null())
         .stderr(log);
     // Stray state from the invoking environment must not leak in.
-    for k in ["AUTOMC_FAULTS", "AUTOMC_SHARED_RESULTS_DIR", "AUTOMC_MEMO_SPILL_DIR"] {
-        cmd.env_remove(k);
-    }
+    cmd.env_remove("AUTOMC_FAULTS");
     for (k, v) in knobs {
         cmd.env(k, v);
     }

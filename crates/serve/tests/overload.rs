@@ -77,14 +77,12 @@ fn fresh_dir(name: &str) -> PathBuf {
 }
 
 /// Start a daemon child over `dir/results`; `extra` appends raw serve
-/// flags, `shared` points `AUTOMC_SHARED_RESULTS_DIR` at a warm store,
-/// `faults` installs an `AUTOMC_FAULTS` plan.
+/// flags, `faults` installs an `AUTOMC_FAULTS` plan.
 fn start_server(
     dir: &Path,
     tag: &str,
     knobs: &[(&str, &str)],
     extra: &[&str],
-    shared: Option<&Path>,
     faults: Option<&str>,
 ) -> Server {
     let addr_file = dir.join("addr");
@@ -102,14 +100,9 @@ fn start_server(
         .env("AUTOMC_THREADS", "2")
         .stdout(Stdio::null())
         .stderr(logfile);
-    for k in ["AUTOMC_FAULTS", "AUTOMC_SHARED_RESULTS_DIR", "AUTOMC_MEMO_SPILL_DIR"] {
-        cmd.env_remove(k);
-    }
+    cmd.env_remove("AUTOMC_FAULTS");
     for (k, v) in knobs {
         cmd.env(k, v);
-    }
-    if let Some(store) = shared {
-        cmd.env("AUTOMC_SHARED_RESULTS_DIR", store);
     }
     if let Some(spec) = faults {
         cmd.env("AUTOMC_FAULTS", spec);
@@ -151,7 +144,6 @@ fn stalled_mid_frame_client_is_reaped_and_cannot_block_others() {
         "main",
         &KNOBS_TINY,
         &["--io-timeout-ms", "500"],
-        None,
         None,
     );
 
@@ -198,7 +190,6 @@ fn full_queue_sheds_submits_with_a_busy_frame() {
         "main",
         &KNOBS_SLOW,
         &["--jobs", "1", "--queue-cap", "1"],
-        None,
         None,
     );
     let algo = JobKind::Search(automc_bench::harness::Algo::Random);
@@ -247,7 +238,7 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
     let algo = JobKind::Search(automc_bench::harness::Algo::Random);
     let job_spec = spec(algo, 17, true, "");
 
-    let mut server = start_server(&dir, "one", &KNOBS_DRAIN, &[], None, None);
+    let mut server = start_server(&dir, "one", &KNOBS_DRAIN, &[], None);
     let mut client = Client::connect(&server.addr).expect("connect");
     let (job, _) = client.submit(&job_spec).expect("submit");
     // Order the shutdown as soon as the first round frame proves the job
@@ -301,7 +292,7 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
     );
 
     // …so a restarted daemon resumes it and matches an uninterrupted run.
-    let server2 = start_server(&dir, "two", &KNOBS_DRAIN, &[], None, None);
+    let server2 = start_server(&dir, "two", &KNOBS_DRAIN, &[], None);
     let resumed = run_to_done(&server2.addr, &job_spec);
     assert_eq!(state_of(&resumed), "done", "terminal: {resumed:?}");
     let log2 = server2.log_text();
@@ -319,23 +310,28 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
 
 #[test]
 fn chaos_schedules_against_the_daemon_terminate_and_match() {
-    // Fault-free reference daemon; its results dir doubles as the shared
-    // store so the chaos daemons skip the one-time corpus cost.
+    // Fault-free reference daemon; each chaos daemon starts from a copy of
+    // its corpus and embeddings, so it skips the one-time corpus cost.
     let ref_dir = fresh_dir("chaos-ref");
     let job_spec = spec(JobKind::Table2, 11, false, "");
     let reference = {
-        let server = start_server(&ref_dir, "ref", &KNOBS_TINY, &[], None, None);
+        let server = start_server(&ref_dir, "ref", &KNOBS_TINY, &[], None);
         let terminal = run_to_done(&server.addr, &job_spec);
         assert_eq!(state_of(&terminal), "done", "terminal: {terminal:?}");
         render_result(&terminal).expect("reference tables")
     };
-    let shared = ref_dir.join("results");
+    let warm = ref_dir.join("results");
 
     // Seed 1: cache corruption only — recovers in-process, one attempt.
     // Seed 24: an eval-site exit kills the daemon mid-job (code 87); the
     // restarted daemon must resume the journal and finish the schedule.
     for seed in [1u64, 24] {
         let dir = fresh_dir(&format!("chaos-{seed}"));
+        std::fs::create_dir_all(dir.join("results")).expect("results dir");
+        for entry in ["corpus_full_s11.json", "emb_full_s11_kg1_exp1.json"] {
+            std::fs::copy(warm.join(entry), dir.join("results").join(entry))
+                .expect("copy a knowledge entry");
+        }
         let faults = format!("chaos@{seed}:3");
         let deadline = Instant::now() + Duration::from_secs(300);
         let mut rendered = None;
@@ -346,7 +342,6 @@ fn chaos_schedules_against_the_daemon_terminate_and_match() {
                 &format!("a{attempt}"),
                 &KNOBS_TINY,
                 &[],
-                Some(&shared),
                 Some(&faults),
             );
             let outcome = std::panic::catch_unwind(|| run_to_done(&server.addr, &job_spec));

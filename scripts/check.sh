@@ -37,13 +37,28 @@ echo "kernel regression gate passed"
 # with a seeded fault plan injecting a panic, a NaN, and a cache corruption.
 # The run must complete (degraded where the faults land, but structurally
 # valid) and print SMOKE OK. Single-threaded so the fault ordinals are
-# deterministic.
+# deterministic. The corruption hits the run's 19th and last cache store,
+# `table2_smoke_s5`; a second run in the same directory without --fresh
+# reads that entry first, so it must reject and quarantine it, rebuild the
+# table from the other entries, and print the faulted run's stdout again.
+# If the pipeline's store count changes, the quarantine check below fails
+# loudly and the ordinal needs retuning.
 # ---------------------------------------------------------------------------
 echo "== fault-injection smoke =="
-AUTOMC_THREADS=1 AUTOMC_FAULTS="panic@eval:2,nan@train:5,corrupt@cache:1" \
+fault_dir=$(mktemp -d)
+trap 'rm -rf "$fault_dir"' EXIT
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$fault_dir" \
+    AUTOMC_FAULTS="panic@eval:2,nan@train:5,corrupt@cache:19" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
-    --smoke --fresh --seed 5 2>&1 | tee /tmp/automc-smoke.log
-grep -q "SMOKE OK" /tmp/automc-smoke.log
+    --smoke --fresh --seed 5 >/tmp/automc-smoke.out 2>/tmp/automc-smoke.err
+cat /tmp/automc-smoke.out
+grep -q "SMOKE OK" /tmp/automc-smoke.out
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$fault_dir" \
+    cargo run --release --offline -p automc-bench --bin table2 -- \
+    --smoke --seed 5 >/tmp/automc-smoke-reread.out 2>/tmp/automc-smoke-reread.err
+grep -qF '[cache] table2_smoke_s5: checksum mismatch (corrupt entry); quarantined' \
+    /tmp/automc-smoke-reread.err
+diff /tmp/automc-smoke.out /tmp/automc-smoke-reread.out
 echo "fault-injection smoke passed"
 
 # ---------------------------------------------------------------------------
@@ -59,7 +74,7 @@ echo "fault-injection smoke passed"
 echo "== kill/resume smoke =="
 ref_dir=$(mktemp -d)
 res_dir=$(mktemp -d)
-trap 'rm -rf "$ref_dir" "$res_dir"' EXIT
+trap 'rm -rf "$fault_dir" "$ref_dir" "$res_dir"' EXIT
 AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$ref_dir" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --fresh --seed 7 >/tmp/automc-resume-ref.out 2>/dev/null
@@ -95,21 +110,30 @@ echo "kill/resume smoke passed"
 # injected worker crash (kill@worker:1 — the first spawn exits after its
 # first completed unit). The supervisor must log the restart, the run must
 # complete, and stdout must be byte-identical to the single-process
-# reference above. The workers pull the corpus/embedding artifacts from
-# the reference store (read-only shared fallback), so this stage costs
-# seconds, not another full run.
+# reference above. The run starts from a copy of the reference run's
+# corpus and embeddings, so this stage costs seconds, not another full
+# run. The workers share the supervisor's results directory: afterwards it
+# holds no per-worker sub-store and one embeddings entry.
 # ---------------------------------------------------------------------------
 echo "== orchestrator smoke =="
 orch_dir=$(mktemp -d)
-trap 'rm -rf "$ref_dir" "$res_dir" "$orch_dir"' EXIT
-AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$orch_dir" AUTOMC_SHARED_RESULTS_DIR="$ref_dir" \
-    AUTOMC_FAULTS="kill@worker:1" \
+trap 'rm -rf "$fault_dir" "$ref_dir" "$res_dir" "$orch_dir"' EXIT
+knowledge="corpus_full_s7.json emb_full_s7_kg1_exp1.json"
+for f in $knowledge; do cp "$ref_dir/$f" "$orch_dir/"; done
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$orch_dir" AUTOMC_FAULTS="kill@worker:1" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --seed 7 --workers 2 \
     >/tmp/automc-orch.out 2>/tmp/automc-orch.err
 grep -q 'injected kill' /tmp/automc-orch.err
 grep -q 'retry 1/' /tmp/automc-orch.err
 diff /tmp/automc-resume-ref.out /tmp/automc-orch.out
+if compgen -G "$orch_dir/worker*" >/dev/null; then
+    echo "orchestrator smoke: per-worker sub-store in $orch_dir:"; ls "$orch_dir"; exit 1
+fi
+emb_entries=$(find "$orch_dir" -name 'emb_*' | wc -l)
+if [ "$emb_entries" -ne 1 ]; then
+    echo "orchestrator smoke: $emb_entries embeddings entries, want 1"; exit 1
+fi
 echo "orchestrator smoke passed"
 
 # ---------------------------------------------------------------------------
@@ -117,13 +141,16 @@ echo "orchestrator smoke passed"
 # plus two *remote* workers connecting over loopback TCP. One worker
 # carries an injected kill directive — it exits (code 86) after its first
 # completed unit, and the dynamic queue re-assigns its work to the
-# survivor. The merged stdout must be byte-identical to the
-# single-process reference.
+# survivor. The workers run on the supervisor's host, so they share its
+# results directory, warmed like the orchestrator stage's. The merged
+# stdout must be byte-identical to the single-process reference.
 # ---------------------------------------------------------------------------
 echo "== distributed workers smoke =="
 dist_dir=$(mktemp -d)
-trap 'rm -rf "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir"' EXIT
-AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dist_dir/sup" AUTOMC_SHARED_RESULTS_DIR="$ref_dir" \
+trap 'rm -rf "$fault_dir" "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir"' EXIT
+mkdir "$dist_dir/sup"
+for f in $knowledge; do cp "$ref_dir/$f" "$dist_dir/sup/"; done
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dist_dir/sup" \
     ./target/release/table2 --smoke --seed 7 \
     --listen 127.0.0.1:0 --addr-file "$dist_dir/addr" \
     >/tmp/automc-dist.out 2>/tmp/automc-dist.err &
@@ -131,12 +158,11 @@ dist_pid=$!
 for _ in $(seq 100); do [ -s "$dist_dir/addr" ] && break; sleep 0.1; done
 [ -s "$dist_dir/addr" ] || { echo "distributed smoke: supervisor never bound"; exit 1; }
 dist_addr=$(cat "$dist_dir/addr")
-AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dist_dir/w1" AUTOMC_SHARED_RESULTS_DIR="$ref_dir" \
-    AUTOMC_WORKER_FAULT=kill \
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dist_dir/sup" AUTOMC_WORKER_FAULT=kill \
     ./target/release/table2 --smoke --seed 7 --connect "$dist_addr" \
     >/dev/null 2>&1 &
 w1_pid=$!
-AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dist_dir/w2" AUTOMC_SHARED_RESULTS_DIR="$ref_dir" \
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dist_dir/sup" \
     ./target/release/table2 --smoke --seed 7 --connect "$dist_addr" \
     >/dev/null 2>&1 &
 w2_pid=$!
@@ -158,7 +184,7 @@ echo "distributed workers smoke passed"
 echo "== memo equivalence smoke =="
 moff_dir=$(mktemp -d)
 mon_dir=$(mktemp -d)
-trap 'rm -rf "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir" "$moff_dir" "$mon_dir"' EXIT
+trap 'rm -rf "$fault_dir" "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir" "$moff_dir" "$mon_dir"' EXIT
 AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$moff_dir" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --fresh --seed 9 --memo off >/tmp/automc-memo-off.out 2>/dev/null
@@ -205,7 +231,7 @@ echo "memo equivalence smoke passed"
 echo "== blob-store smoke =="
 cargo test -q --offline -p automc-compress --test store_hammer
 bs_dir=$(mktemp -d)
-trap 'rm -rf "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir" "$moff_dir" "$mon_dir" "$bs_dir"' EXIT
+trap 'rm -rf "$fault_dir" "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir" "$moff_dir" "$mon_dir" "$bs_dir"' EXIT
 AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$bs_dir" AUTOMC_FAULTS="torn@spill:1" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --fresh --seed 9 --memo on \
@@ -250,7 +276,7 @@ echo "blob-store smoke passed"
 # ---------------------------------------------------------------------------
 echo "== serve daemon smoke =="
 srv_dir=$(mktemp -d)
-trap 'rm -rf "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir" "$moff_dir" "$mon_dir" "$bs_dir" "$srv_dir"' EXIT
+trap 'rm -rf "$fault_dir" "$ref_dir" "$res_dir" "$orch_dir" "$dist_dir" "$moff_dir" "$mon_dir" "$bs_dir" "$srv_dir"' EXIT
 AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$srv_dir" \
     cargo run --release --offline -p automc-serve -- \
     serve --jobs 1 --addr-file "$srv_dir/addr" >/tmp/automc-serve.log 2>&1 &
@@ -291,12 +317,12 @@ echo "serve daemon smoke passed"
 echo "== chaos soak smoke =="
 chaos_soak() {  # args: label, chaos seed, extra table2 flags...
     local label=$1 cseed=$2; shift 2
-    local dir code attempt
+    local dir code attempt f
     dir=$(mktemp -d)
+    for f in $knowledge; do cp "$ref_dir/$f" "$dir/"; done
     for attempt in 1 2 3 4 5; do
         set +e
         AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$dir" \
-            AUTOMC_SHARED_RESULTS_DIR="$ref_dir" \
             AUTOMC_FAULTS="chaos@${cseed}:3" \
             timeout 120 ./target/release/table2 --smoke --seed 7 "$@" \
             >"/tmp/automc-chaos-$label.out" 2>"/tmp/automc-chaos-$label.err"
